@@ -32,7 +32,6 @@ from .engine import (
     truncated_thermal,
 )
 from .nonclassicality import (
-    BranchNode,
     CascadeReport,
     TotalsRecord,
     beam_splitter_unitary,
@@ -41,7 +40,6 @@ from .nonclassicality import (
     depletion_ratios,
     entanglement_potential,
     extrapolate_total,
-    qubit_beam_splitter,
     total_nonclassicality,
 )
 from .cli import ScenarioConfig, compare_with_oracle, parse_config, run_scenario, write_outputs
@@ -68,7 +66,6 @@ __all__ = [
     "sector_evolution",
     "truncated_coherent",
     "truncated_thermal",
-    "BranchNode",
     "CascadeReport",
     "TotalsRecord",
     "beam_splitter_unitary",
@@ -77,7 +74,6 @@ __all__ = [
     "depletion_ratios",
     "entanglement_potential",
     "extrapolate_total",
-    "qubit_beam_splitter",
     "total_nonclassicality",
     "ScenarioConfig",
     "compare_with_oracle",

@@ -22,6 +22,7 @@ from .hilbert import (
     ShapeError,
     StateVector,
     annihilation,
+    dagger,
     fock,
     partial_trace,
     single_mode,
@@ -97,21 +98,28 @@ def _hamiltonian_eig(d: int):
     return w, v
 
 
-def propagator(d: int, T: float) -> np.ndarray:
-    """exp(-i T H) via the cached spectral decomposition of H."""
+def propagator(d: int, T) -> np.ndarray:
+    """exp(-i T H) via the cached spectral decomposition of H.
+
+    T is a time or an array of times; the result is one matrix per time.
+    """
     w, v = _hamiltonian_eig(d)
-    return (v * np.exp(-1j * T * w)) @ v.conj().T
+    phases = np.exp(-1j * np.multiply.outer(T, w))
+    return (v * phases[..., None, :]) @ dagger(v)
 
 
-def evolve(rho0: DensityOperator, T: float) -> DensityOperator:
-    """Unitary evolution of a field (x) atom state for dimensionless time T."""
+def evolve(rho0: DensityOperator, T) -> DensityOperator:
+    """Unitary evolution of a field (x) atom state for dimensionless time T.
+
+    An array of times gives the stack of evolved states, one per time.
+    """
     labels = rho0.layout.labels
     if labels != (FIELD, ATOM):
         raise ShapeError(f"expected layout labels ('f', 'a'), got {labels}")
     d = rho0.layout.dims[0]
     u = propagator(d, T)
-    m = u @ rho0.matrix @ u.conj().T
-    m = 0.5 * (m + m.conj().T)
+    m = u @ rho0.matrix @ dagger(u)
+    m = 0.5 * (m + dagger(m))
     return DensityOperator(rho0.layout, m)
 
 
@@ -183,7 +191,7 @@ def initial_state(case: ScenarioCase, d: int) -> DensityOperator:
 
 
 def reduced_states(rho: DensityOperator) -> tuple[DensityOperator, DensityOperator]:
-    """(field, atom) reduced density operators."""
+    """(field, atom) reduced density operator stacks."""
     labels = rho.layout.labels
     if labels != (FIELD, ATOM):
         raise ShapeError(f"expected layout labels ('f', 'a'), got {labels}")

@@ -3,8 +3,10 @@
 Dense operators on tensor products of small mode spaces: truncated bosonic
 operators, Kronecker composition, partial trace / partial transpose,
 Hermitian spectra, negativity, and l1-coherence. Everything is a pure
-function of immutable inputs; matrices stay small (total dimension <~ 64),
-so plain dense numpy is used throughout.
+function of immutable inputs. Matrices stay small (total dimension <~ 64)
+but come in stacks: operator arrays have shape (..., D, D), leading axes
+are batch axes (time points, cascade branches), and every function maps
+each matrix of a stack independently, with one numpy call per stack.
 """
 
 from __future__ import annotations
@@ -114,7 +116,12 @@ class StateVector:
 
 @dataclass(frozen=True, eq=False)
 class DensityOperator:
-    """Hermitian, unit-trace, positive-semidefinite matrix over a ModeLayout."""
+    """Stack (..., D, D) of Hermitian, unit-trace, positive-semidefinite
+    matrices over one ModeLayout; a single state is a (D, D) stack.
+
+    Every matrix of the stack is validated at construction, by one batched
+    eigensolve.
+    """
 
     layout: ModeLayout
     matrix: np.ndarray
@@ -122,8 +129,8 @@ class DensityOperator:
     def __post_init__(self):
         m = np.asarray(self.matrix, dtype=complex)
         d = self.layout.dim
-        if m.shape != (d, d):
-            raise ShapeError(f"matrix shape {m.shape} != ({d}, {d})")
+        if m.shape[-2:] != (d, d):
+            raise ShapeError(f"matrix shape {m.shape} != (..., {d}, {d})")
         diag = density_diagnostics(m, PSD_TOL)
         if diag.hermiticity_deviation > HERMITICITY_TOL:
             raise StateValidationError(
@@ -139,21 +146,34 @@ class DensityOperator:
             )
         object.__setattr__(self, "matrix", m)
 
+    @classmethod
+    def stack(cls, ops: Sequence["DensityOperator"]) -> "DensityOperator":
+        """Stack along a new batch axis just before the matrix axes, in the
+        first operator's layout; each matrix was validated already."""
+        dims = ops[0].layout.dims
+        if any(op.layout.dims != dims for op in ops):
+            raise ShapeError("stacked operators must share their mode dimensions")
+        rho = object.__new__(cls)
+        object.__setattr__(rho, "layout", ops[0].layout)
+        object.__setattr__(rho, "matrix", np.stack([op.matrix for op in ops], axis=-3))
+        return rho
+
 
 @dataclass(frozen=True)
 class Spectrum:
-    """Real eigenvalues in ascending order."""
+    """Real eigenvalues in ascending order along the last axis."""
 
     eigenvalues: np.ndarray
 
     def __post_init__(self):
-        ev = np.asarray(self.eigenvalues, dtype=float).reshape(-1)
+        ev = np.asarray(self.eigenvalues, dtype=float)
         object.__setattr__(self, "eigenvalues", ev)
 
 
 @dataclass(frozen=True)
 class DensityDiagnostics:
-    """Report of the three density-operator invariants against a tolerance."""
+    """Report of the three density-operator invariants against a tolerance,
+    at the worst matrix of a stack for each."""
 
     hermiticity_deviation: float
     trace_deviation: float
@@ -222,30 +242,36 @@ def tensor(factors: Sequence):
     return out
 
 
+def dagger(matrix: np.ndarray) -> np.ndarray:
+    """Conjugate transpose of every matrix in a (..., n, n) stack."""
+    return np.conj(np.swapaxes(matrix, -1, -2))
+
+
 def _as_tensor(matrix: np.ndarray, dims: tuple[int, ...]) -> np.ndarray:
-    return matrix.reshape(dims + dims)
+    return matrix.reshape(matrix.shape[:-2] + dims + dims)
 
 
 def partial_trace(rho: DensityOperator, keep: Iterable[str]) -> DensityOperator:
-    """Reduced operator over the kept labels, in their original order."""
+    """Reduced operator stack over the kept labels, in their original order."""
     keep = set(keep)
     if not keep:
         raise LabelError("keep set must be nonempty")
     for lbl in keep:
         if lbl not in rho.layout.labels:
             raise LabelError(f"unknown subsystem label {lbl!r}")
-    n = len(rho.layout.dims)
+    dims = rho.layout.dims
+    n = len(dims)
     keep_idx = [i for i, lbl in enumerate(rho.layout.labels) if lbl in keep]
-    t = _as_tensor(rho.matrix, rho.layout.dims)
+    t = _as_tensor(rho.matrix, dims)
     row = list(range(n))
     col = [i + n if i in keep_idx else i for i in range(n)]
-    out_axes = [i for i in keep_idx] + [i + n for i in keep_idx]
-    reduced = np.einsum(t, row + col, out_axes)
-    d_keep = int(np.prod([rho.layout.dims[i] for i in keep_idx]))
+    out_axes = keep_idx + [i + n for i in keep_idx]
+    reduced = np.einsum(t, [Ellipsis] + row + col, [Ellipsis] + out_axes)
+    d_keep = int(np.prod([dims[i] for i in keep_idx]))
     sub = ModeLayout(tuple(rho.layout.subsystems[i] for i in keep_idx))
-    mat = reduced.reshape(d_keep, d_keep)
+    mat = reduced.reshape(rho.matrix.shape[:-2] + (d_keep, d_keep))
     # exact diagonal-block sum; symmetrize only to scrub representation noise
-    mat = 0.5 * (mat + mat.conj().T)
+    mat = 0.5 * (mat + dagger(mat))
     return DensityOperator(sub, mat)
 
 
@@ -253,48 +279,51 @@ def partial_transpose(rho: DensityOperator, subsystem: str) -> np.ndarray:
     """Transpose applied to the indices of one subsystem only."""
     i = rho.layout.index(subsystem)
     n = len(rho.layout.dims)
-    t = _as_tensor(rho.matrix, rho.layout.dims)
-    t = np.swapaxes(t, i, i + n)
-    d = rho.layout.dim
-    return t.reshape(d, d)
+    t = np.swapaxes(_as_tensor(rho.matrix, rho.layout.dims), i - 2 * n, i - n)
+    return t.reshape(rho.matrix.shape)
 
 
 def hermitian_eigenvalues(matrix: np.ndarray) -> Spectrum:
-    """Ascending real spectrum of a Hermitian matrix."""
+    """Ascending real spectra of a (..., n, n) stack of Hermitian matrices."""
     m = np.asarray(matrix, dtype=complex)
-    if m.ndim != 2 or m.shape[0] != m.shape[1]:
-        raise ShapeError(f"expected a square matrix, got shape {m.shape}")
-    dev = float(np.max(np.abs(m - m.conj().T))) if m.size else 0.0
+    if m.ndim < 2 or m.shape[-1] != m.shape[-2]:
+        raise ShapeError(f"expected a stack of square matrices, got shape {m.shape}")
+    dev = float(np.max(np.abs(m - dagger(m)))) if m.size else 0.0
     if dev > EIGH_HERMITICITY_TOL:
         raise ShapeError(f"hermiticity deviation {dev:.3e} > {EIGH_HERMITICITY_TOL}")
     return Spectrum(np.linalg.eigvalsh(m))
 
 
-def negativity(rho: DensityOperator, subsystem: str) -> float:
-    """Summed magnitudes of negative partial-transpose eigenvalues."""
-    spec = hermitian_eigenvalues(partial_transpose(rho, subsystem))
-    ev = spec.eigenvalues
-    return float(-np.sum(ev[ev < NEGATIVITY_EIG_FLOOR])) + 0.0
+def negativity(rho: DensityOperator, subsystem: str):
+    """Summed magnitudes of negative partial-transpose eigenvalues.
+
+    One value per matrix of the stack: a float for a single state, an
+    array of the stack's batch shape otherwise.
+    """
+    ev = hermitian_eigenvalues(partial_transpose(rho, subsystem)).eigenvalues
+    # + 0.0 turns the -0.0 of an all-zero sum into 0.0, which prints as 0
+    return (-np.sum(np.where(ev < NEGATIVITY_EIG_FLOOR, ev, 0.0), axis=-1) + 0.0)[()]
 
 
-def l1_coherence(rho: DensityOperator) -> float:
-    """Sum of absolute off-diagonal entries in the computational basis."""
+def l1_coherence(rho: DensityOperator):
+    """Sum of absolute off-diagonal entries in the computational basis, per
+    matrix of the stack."""
     m = np.abs(rho.matrix)
-    return float(np.sum(m) - np.sum(np.diag(m)))
+    return (np.sum(m, axis=(-2, -1)) - np.trace(m, axis1=-2, axis2=-1))[()]
 
 
 def density_diagnostics(matrix: np.ndarray, tol: float) -> DensityDiagnostics:
-    """Raw invariant check on an arbitrary square matrix."""
+    """Raw invariant check on an arbitrary (..., n, n) stack of square matrices."""
     m = np.asarray(matrix, dtype=complex)
-    herm = float(np.max(np.abs(m - m.conj().T)))
-    trace_dev = float(abs(np.trace(m) - 1.0))
+    herm = float(np.max(np.abs(m - dagger(m))))
+    trace_dev = float(np.max(np.abs(np.trace(m, axis1=-2, axis2=-1) - 1.0)))
     # eigenvalues of the Hermitian part; meaningful once herm is small
-    min_eig = float(np.min(np.linalg.eigvalsh(0.5 * (m + m.conj().T))))
+    min_eig = float(np.min(np.linalg.eigvalsh(0.5 * (m + dagger(m)))))
     ok = herm <= tol and trace_dev <= tol and min_eig >= -tol
     return DensityDiagnostics(herm, trace_dev, min_eig, tol, ok)
 
 
 def validate_density(rho, tol: float = PSD_TOL) -> DensityDiagnostics:
-    """Diagnostics for a DensityOperator or raw matrix; never raises."""
+    """Diagnostics for a DensityOperator or raw matrix stack; never raises."""
     m = rho.matrix if isinstance(rho, DensityOperator) else rho
     return density_diagnostics(m, tol)

@@ -5,13 +5,13 @@ the same dimension; the negativity of the two-mode output quantifies the
 input's nonclassicality (its entanglement potential). Reduced single-mode
 outputs retain residual nonclassicality, which further beam-splitter layers
 deplete; the cascade tracks every branch independently and sums per-layer
-potentials into running totals.
+potentials into running totals. Every function acts on state stacks, so a
+cascade layer is one stack over (time points, branches).
 """
 
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
@@ -21,6 +21,7 @@ from .hilbert import (
     DimensionError,
     ModeLayout,
     annihilation,
+    dagger,
     negativity,
     partial_trace,
 )
@@ -48,71 +49,50 @@ def beam_splitter_unitary(d: int) -> np.ndarray:
     return u
 
 
-def qubit_beam_splitter() -> np.ndarray:
-    """4x4 beam-splitter analogue for a two-level mode.
-
-    Acts as the bosonic d=2 beam splitter on span{|00>, |01>, |10>} and as
-    identity on |1,1>; the ancilla is always vacuum, so the |1,1> extension
-    is unobservable.
-    """
-    s = 1.0 / math.sqrt(2.0)
-    u = np.eye(4, dtype=complex)
-    u[1, 1] = u[2, 2] = s
-    u[1, 2] = u[2, 1] = -1j * s
-    return u
-
-
 def _ancilla_label(label: str) -> str:
     return label + ANCILLA_SUFFIX
 
 
 def bs_output(rho_mode: DensityOperator) -> DensityOperator:
-    """Mix a single-mode state with a same-dimension vacuum ancilla."""
+    """Mix a single-mode state stack with a same-dimension vacuum ancilla."""
     if len(rho_mode.layout.subsystems) != 1:
         raise DimensionError("bs_output expects a single-mode state")
     label, d = rho_mode.layout.subsystems[0]
-    u = qubit_beam_splitter() if d == 2 else beam_splitter_unitary(d)
-    vac = np.zeros((d, d), dtype=complex)
-    vac[0, 0] = 1.0
-    out = u @ np.kron(rho_mode.matrix, vac) @ u.conj().T
-    out = 0.5 * (out + out.conj().T)
+    # the ancilla is vacuum, so only the unitary's columns |n, 0> act
+    u0 = beam_splitter_unitary(d)[:, ::d]
+    out = u0 @ rho_mode.matrix @ dagger(u0)
+    out = 0.5 * (out + dagger(out))
     layout = ModeLayout(((label, d), (_ancilla_label(label), d)))
     return DensityOperator(layout, out)
 
 
-def entanglement_potential(rho_mode: DensityOperator) -> float:
+def entanglement_potential(rho_mode: DensityOperator):
     """Negativity across the beam-splitter output bipartition."""
     out = bs_output(rho_mode)
     return negativity(out, out.layout.labels[1])
-
-
-@dataclass
-class BranchNode:
-    """One state in the cascade tree with its entanglement potential."""
-
-    depth: int
-    state: DensityOperator
-    potential: float
-    children: list["BranchNode"] = field(default_factory=list)
 
 
 @dataclass(frozen=True)
 class CascadeReport:
     """Per-layer branch potentials for one subsystem's cascade.
 
-    Layer n holds 2^(n-1) branch potentials; the children of branch i in
-    layer n sit at positions 2i and 2i+1 of layer n+1.
+    Layer n holds 2^(n-1) branch potentials along its last axis, after the
+    batch axes of the input stack; the children of branch i in layer n sit
+    at positions 2i and 2i+1 of layer n+1. Layer sums and the ratios of
+    consecutive layer sums have the batch shape; a ratio whose parent sum
+    is not positive is NaN.
     """
 
     subsystem: str
-    layers: tuple[tuple[float, ...], ...]
-    layer_sums: tuple[float, ...]
-    depletion_ratios: tuple[float, ...]
+    layers: tuple[np.ndarray, ...]
+    layer_sums: tuple[np.ndarray, ...]
+    depletion_ratios: tuple[np.ndarray, ...]
 
     def __post_init__(self):
         for n, layer in enumerate(self.layers):
-            if len(layer) != 2**n:
-                raise ValueError(f"layer {n + 1} has {len(layer)} entries, expected {2**n}")
+            width = np.shape(layer)[-1]
+            if width != 2**n:
+                raise ValueError(f"layer {n + 1} has {width} entries, expected {2**n}")
 
 
 @dataclass(frozen=True)
@@ -125,10 +105,12 @@ class TotalsRecord:
 
 
 def cascade(rho_mode: DensityOperator, layers: int) -> CascadeReport:
-    """Recursive beam-splitter cascade on a single-mode state.
+    """Beam-splitter cascade on a single-mode state stack.
 
-    Each node's two reduced beam-splitter outputs become its children;
-    branches are computed independently, never assumed symmetric.
+    Each layer is one stack: one beam-splitter output per branch gives the
+    layer's potentials, and its two reduced states are the branch's
+    children in the next layer. Branches are computed independently, never
+    assumed symmetric.
     """
     if layers < 1:
         raise ValueError(f"need at least one layer, got {layers}")
@@ -137,28 +119,25 @@ def cascade(rho_mode: DensityOperator, layers: int) -> CascadeReport:
             f"{layers} layers exceeds the {MAX_CASCADE_LAYERS}-layer guard "
             f"(2^layers eigenproblems of size dim^2)"
         )
-    label = rho_mode.layout.subsystems[0][0]
-    nodes = [BranchNode(1, rho_mode, entanglement_potential(rho_mode))]
+    batch = rho_mode.matrix.shape[:-2]
+    states = rho_mode
     all_layers = []
     for depth in range(1, layers + 1):
-        all_layers.append(tuple(node.potential for node in nodes))
+        out = bs_output(states)
+        all_layers.append(negativity(out, out.layout.labels[1]).reshape(batch + (-1,)))
         if depth == layers:
             break
-        next_nodes = []
-        for node in nodes:
-            out = bs_output(node.state)
-            mode_label, anc_label = out.layout.labels
-            for kept in (mode_label, anc_label):
-                reduced = partial_trace(out, {kept})
-                child = BranchNode(depth + 1, reduced, entanglement_potential(reduced))
-                node.children.append(child)
-                next_nodes.append(child)
-        nodes = next_nodes
-    sums = tuple(float(sum(layer)) for layer in all_layers)
+        # Each layer adds one branch axis of size 2 (mode kept, ancilla
+        # kept), so row-major branch order puts branch i's children at 2i
+        # and 2i+1.
+        states = DensityOperator.stack([partial_trace(out, {kept}) for kept in out.layout.labels])
+    # Python's sum adds the branches in order, elementwise over the batch
+    sums = tuple(sum(np.moveaxis(layer, -1, 0)) for layer in all_layers)
     ratios = tuple(
-        sums[i] / sums[i - 1] for i in range(1, len(sums)) if sums[i - 1] > 0.0
+        np.divide(cur, prev, out=np.full(batch, np.nan), where=prev > 0.0)[()]
+        for prev, cur in zip(sums, sums[1:])
     )
-    return CascadeReport(label, tuple(all_layers), sums, ratios)
+    return CascadeReport(rho_mode.layout.labels[0], tuple(all_layers), sums, ratios)
 
 
 def total_nonclassicality(
@@ -192,9 +171,12 @@ def extrapolate_total(
 
 
 def depletion_ratios(report: CascadeReport, floor: float = 1e-3) -> list[float]:
-    """Per-branch child/parent potential ratios where the parent exceeds floor."""
+    """Per-branch child/parent potential ratios where the parent exceeds floor,
+    for the report of a single state."""
     if len(report.layers) < 2:
         raise ValueError("depletion ratios need at least two layers")
+    if np.ndim(report.layers[0]) != 1:
+        raise ValueError("depletion ratios need the report of a single state")
     ratios = []
     for n in range(len(report.layers) - 1):
         parents = report.layers[n]

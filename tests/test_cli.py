@@ -4,17 +4,21 @@ import math
 import numpy as np
 import pytest
 
-from jcnc import oracle
+from jcnc import cli, engine, oracle
 from jcnc.cli import (
     ConfigError,
     ScenarioConfig,
+    chunk_points,
     compare_with_oracle,
     csv_columns,
     main,
     parse_config,
     run_scenario,
+    time_grid,
     write_outputs,
 )
+from jcnc.hilbert import negativity
+from jcnc.nonclassicality import cascade
 
 
 def make_config(**overrides):
@@ -115,6 +119,27 @@ class TestRunScenario:
         row = run_scenario(cfg)[1]   # T = pi/4
         assert row.coh_a > 1e-4
 
+    def test_chunked_run_matches_per_point_calls(self):
+        # a grid of three chunks against batch-of-one calls at every time
+        step = chunk_points(2, 6)
+        cfg = make_config(layers=6, n_points=2 * step + 3)
+        rows = run_scenario(cfg)
+        grid = time_grid(cfg)
+        rho0 = engine.initial_state(engine.ScenarioCase("A"), 2)
+        whole_grid = [cascade(r, 6) for r in engine.reduced_states(engine.evolve(rho0, grid))]
+        for k, (row, T) in enumerate(zip(rows, grid)):
+            rho = engine.evolve(rho0, float(T))
+            reports = [cascade(r, 6) for r in engine.reduced_states(rho)]
+            assert row.T == T
+            assert abs(row.N_c - negativity(rho, "a")) < 1e-12
+            got = (row.N_f, *row.res_field, row.N_a, *row.res_atom)
+            want = (*reports[0].layer_sums, *reports[1].layer_sums)
+            assert np.max(np.abs(np.subtract(got, want))) < 1e-12
+            for stacked, single in zip(whole_grid, reports):
+                for layer_stack, layer in zip(stacked.layers, single.layers):
+                    assert layer.shape == layer_stack[k].shape
+                    assert np.max(np.abs(layer_stack[k] - layer)) < 1e-12
+
     def test_n_tot_inf_only_case_a(self):
         assert all(r.N_totInf is not None for r in run_scenario(make_config(n_points=5)))
         assert all(
@@ -187,8 +212,10 @@ class TestCompareWithOracle:
         assert any("as-printed" in note for note in report["notes"])
 
     def test_case_c_reduced_match(self):
-        cfg = make_config(case="C", mean_photon=0.01, n_points=41)
+        n_points = 2 * chunk_points(3, 2) + 5   # three chunks
+        cfg = make_config(case="C", mean_photon=0.01, n_points=n_points)
         report = compare_with_oracle(run_scenario(cfg), cfg)
+        assert not report["any_flagged"]
         assert report["quantities"]["atom_reduced"]["max_abs_error"] < 1e-8
         assert report["quantities"]["field_reduced"]["max_abs_error"] < 1e-8
 
@@ -228,6 +255,30 @@ class TestMain:
     def test_config_error_exit_code(self, capsys):
         assert main(["--case", "D"]) == 2
         assert "alpha" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "args",
+        [
+            ["--case", "A", "--layers", "7"],
+            ["--case", "A", "--t-max", "nan"],
+            ["--case", "A", "--t-max", "inf"],
+            ["--case", "C", "--mean-photon", "inf"],
+            ["--case", "D", "--alpha", "nan"],
+            ["--case", "B", "--oracle-case-b-frequency", "inf"],
+        ],
+        ids=["layers-7", "t-max-nan", "t-max-inf", "mean-photon-inf", "alpha-nan", "freq-inf"],
+    )
+    def test_out_of_range_input_is_a_config_error(self, args, tmp_path, capsys):
+        assert main(args + ["--n-points", "3", "--output-prefix", str(tmp_path / "x")]) == 2
+        assert "config error" in capsys.readouterr().err
+
+    def test_linalg_error_exit_code(self, tmp_path, monkeypatch, capsys):
+        def fail(cfg):
+            raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+        monkeypatch.setattr(cli, "run_scenario", fail)
+        assert main(["--case", "A", "--output-prefix", str(tmp_path / "x")]) == 3
+        assert "did not converge" in capsys.readouterr().err
 
     def test_missing_config_file(self, tmp_path):
         assert main(["--config", str(tmp_path / "nope.json")]) == 2

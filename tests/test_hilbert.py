@@ -77,6 +77,24 @@ class TestStateTypes:
         with pytest.raises(ShapeError):
             DensityOperator(single_mode("f", 3), np.eye(2) / 2)
 
+    def test_one_bad_matrix_in_a_stack(self):
+        lay = single_mode("f", 2)
+        stack = np.stack([np.eye(2) / 2] * 5).astype(complex)
+        DensityOperator(lay, stack)
+        stack[2] = np.diag([1.2, -0.2])
+        with pytest.raises(StateValidationError, match="eigenvalue"):
+            DensityOperator(lay, stack)
+
+    def test_stack_of_validated_operators(self):
+        rng = np.random.default_rng(18)
+        ops = [random_density(rng, single_mode(lbl, 3)) for lbl in ("f", "f0")]
+        stacked = DensityOperator.stack(ops)
+        assert stacked.layout == ops[0].layout
+        assert stacked.matrix.shape == (2, 3, 3)
+        assert np.array_equal(stacked.matrix[1], ops[1].matrix)
+        with pytest.raises(ShapeError):
+            DensityOperator.stack([ops[0], random_density(rng, single_mode("g", 2))])
+
 
 class TestAnnihilation:
     def test_d2(self):
@@ -275,6 +293,26 @@ class TestNegativity:
             u = np.kron(uf, ua)
             rotated = DensityOperator(layout, u @ rho.matrix @ u.conj().T)
             assert abs(negativity(rotated, "a") - negativity(rho, "a")) < 1e-10
+
+
+class TestStacks:
+    def test_stacked_equals_per_matrix(self):
+        # every kernel function maps each matrix of a stack independently
+        rng = np.random.default_rng(19)
+        layout = ModeLayout((("A", 3), ("B", 2)))
+        singles = [random_density(rng, layout) for _ in range(6)]
+        stack = DensityOperator(layout, np.stack([r.matrix for r in singles]).reshape(2, 3, 6, 6))
+        neg = negativity(stack, "B")
+        coh = l1_coherence(stack)
+        reduced = partial_trace(stack, {"A"}).matrix
+        pt = partial_transpose(stack, "A")
+        assert neg.shape == coh.shape == (2, 3)
+        for k, rho in enumerate(singles):
+            i, j = divmod(k, 3)
+            assert abs(neg[i, j] - negativity(rho, "B")) < 1e-12
+            assert abs(coh[i, j] - l1_coherence(rho)) < 1e-12
+            assert np.allclose(reduced[i, j], partial_trace(rho, {"A"}).matrix, atol=1e-12)
+            assert np.array_equal(pt[i, j], partial_transpose(rho, "A"))
 
 
 class TestCoherence:

@@ -18,7 +18,6 @@ from jcnc.nonclassicality import (
     depletion_ratios,
     entanglement_potential,
     extrapolate_total,
-    qubit_beam_splitter,
     total_nonclassicality,
 )
 
@@ -79,23 +78,22 @@ class TestBeamSplitterUnitary:
 
 
 class TestQubitBeamSplitter:
+    """The d = 2 truncation, which bs_output uses for every qubit-sized mode."""
+
     def test_unitary(self):
-        u = qubit_beam_splitter()
+        u = beam_splitter_unitary(2)
         assert np.max(np.abs(u.conj().T @ u - np.eye(4))) < 1e-15
 
     def test_excitation_split(self):
-        u = qubit_beam_splitter()
+        u = beam_splitter_unitary(2)
         out = u @ tensor([fock(1, 2), fock(0, 2)])
         expected = (tensor([fock(1, 2), fock(0, 2)]) - 1j * tensor([fock(0, 2), fock(1, 2)])) / SQRT2
         assert np.allclose(out, expected, atol=1e-15)
 
     def test_vacuum_and_double_fixed(self):
-        u = qubit_beam_splitter()
+        u = beam_splitter_unitary(2)
         assert np.allclose(u @ tensor([fock(0, 2), fock(0, 2)]), tensor([fock(0, 2), fock(0, 2)]))
         assert np.allclose(u @ tensor([fock(1, 2), fock(1, 2)]), tensor([fock(1, 2), fock(1, 2)]))
-
-    def test_matches_truncated_boson_version(self):
-        assert np.allclose(qubit_beam_splitter(), beam_splitter_unitary(2), atol=1e-12)
 
 
 class TestBsOutput:
