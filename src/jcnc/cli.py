@@ -13,6 +13,7 @@ import json
 import math
 import sys
 import time
+import warnings
 from dataclasses import asdict, dataclass
 
 import numpy as np
@@ -36,6 +37,11 @@ ORACLE_TOL_REDUCED = 1e-8    # cases C and D (reduced-matrix transcriptions)
 # per time point. Larger chunks only raise peak memory; 64 KiB already
 # amortizes the per-call overhead.
 CHUNK_BYTES = 64 * 1024
+
+# Largest per-time-point stack a run may need, the deepest layer's
+# beam-splitter outputs. A chunk holds at least one time point, so a
+# config above this is refused before anything is allocated.
+MAX_POINT_BYTES = 64 * 1024**2
 
 
 class ConfigError(ValueError):
@@ -130,6 +136,12 @@ def parse_config(source) -> ScenarioConfig:
     layers = int(values.get("layers", 2))
     if not 1 <= layers <= MAX_CASCADE_LAYERS:
         raise ConfigError(f"field 'layers': must be in [1, {MAX_CASCADE_LAYERS}], got {layers}")
+    if point_bytes(field_dim, layers) > MAX_POINT_BYTES:
+        raise ConfigError(
+            f"field 'field_dim': {field_dim} at {layers} layers needs "
+            f"{point_bytes(field_dim, layers)} bytes of beam-splitter output per "
+            f"time point, above the {MAX_POINT_BYTES}-byte limit"
+        )
     oracle_compare = values.get("oracle_compare", False)
     if not isinstance(oracle_compare, bool):
         raise ConfigError(f"field 'oracle_compare': expected a boolean, got {oracle_compare!r}")
@@ -156,20 +168,6 @@ def parse_config(source) -> ScenarioConfig:
     )
 
 
-@dataclass(frozen=True)
-class TimeSeriesRow:
-    T: float
-    N_c: float
-    N_f: float
-    N_a: float
-    res_field: tuple[float, ...]   # cascade layer sums, layers 2..L
-    res_atom: tuple[float, ...]
-    N_tot: tuple[float, ...]       # running totals, layers 1..L
-    N_totInf: float | None         # case A only
-    coh_a: float
-    coh_f: float
-
-
 def _scenario_case(cfg: ScenarioConfig) -> engine.ScenarioCase:
     return engine.ScenarioCase(
         cfg.case,
@@ -182,29 +180,71 @@ def time_grid(cfg: ScenarioConfig) -> np.ndarray:
     return np.linspace(0.0, cfg.t_max, cfg.n_points)
 
 
+def point_bytes(field_dim: int, layers: int) -> int:
+    """Bytes of one time point's deepest-layer beam-splitter outputs."""
+    return 2 ** (layers - 1) * field_dim**4 * np.dtype(complex).itemsize
+
+
 def chunk_points(field_dim: int, layers: int) -> int:
     """Time points per chunk, so the chunk's largest stack fits CHUNK_BYTES."""
-    per_point = 2 ** (layers - 1) * field_dim**4 * np.dtype(complex).itemsize
-    return max(1, CHUNK_BYTES // per_point)
+    return max(1, CHUNK_BYTES // point_bytes(field_dim, layers))
 
 
-def _evolved_chunks(cfg: ScenarioConfig, times: np.ndarray):
-    """(times, joint, field, atom) state stacks over `times`, one chunk at a time."""
+@dataclass(frozen=True)
+class ScenarioResult:
+    """The time series of one run, as columns, and its closed-form check.
+
+    `values` holds one row per grid time and one column per name in
+    `columns`: the CSV columns, with `N_tot_inf` present for case A only.
+    `reduced_errors` holds the max-abs error of the reduced atom and field
+    states against their closed forms, or None where no closed form applies.
+    """
+
+    columns: tuple[str, ...]
+    values: np.ndarray
+    reduced_errors: dict[str, float] | None
+
+    def column(self, name: str) -> np.ndarray:
+        return self.values[:, self.columns.index(name)]
+
+
+def _reduced_closed_form(cfg: ScenarioConfig):
+    """T -> (atom, field) closed-form stacks, or None where none applies.
+
+    The closed forms describe a three-level field in cases C and D.
+    """
+    if cfg.case not in ("C", "D") or cfg.field_dim != 3:
+        return None
+    if cfg.case == "C":
+        w = np.real(np.diag(engine.truncated_thermal(cfg.mean_photon, 3).matrix))
+        return lambda T: oracle.case_c_reduced(T, float(w[0]), float(w[1]))
+    # initial_state has already warned about any truncation loss
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        c = np.real(engine.truncated_coherent(cfg.alpha, 3).amplitudes)
+    return lambda T: oracle.case_d_reduced(T, float(c[0]), float(c[1]))
+
+
+def run_scenario(cfg: ScenarioConfig) -> ScenarioResult:
+    """Evolve, reduce, and measure the scenario at every grid time.
+
+    The grid is walked once, in time chunks; each stage is one batched call
+    per chunk. Where a closed form applies, the chunk's reduced states are
+    checked against it on the way.
+    """
+    columns = csv_columns(cfg.layers)
+    if cfg.case != "A":
+        columns.remove("N_tot_inf")
+    times = time_grid(cfg)
+    values = np.empty((len(times), len(columns)))
+    closed = _reduced_closed_form(cfg)
+    err_a = err_f = 0.0
     rho0 = engine.initial_state(_scenario_case(cfg), cfg.field_dim)
     step = chunk_points(cfg.field_dim, cfg.layers)
     for start in range(0, len(times), step):
         ts = times[start:start + step]
         rho = engine.evolve(rho0, ts)
-        yield (ts, rho, *engine.reduced_states(rho))
-
-
-def run_scenario(cfg: ScenarioConfig) -> list[TimeSeriesRow]:
-    """Evolve, reduce, and measure the scenario at every grid time.
-
-    The grid is walked in time chunks; each stage is one batched call per chunk.
-    """
-    rows = []
-    for ts, rho, rho_f, rho_a in _evolved_chunks(cfg, time_grid(cfg)):
+        rho_f, rho_a = engine.reduced_states(rho)
         N_c = negativity(rho, engine.ATOM)
         field_rep = cascade(rho_f, cfg.layers)
         atom_rep = cascade(rho_a, cfg.layers)
@@ -212,24 +252,19 @@ def run_scenario(cfg: ScenarioConfig) -> list[TimeSeriesRow]:
             total_nonclassicality(N_c, field_rep, atom_rep, layer)
             for layer in range(1, cfg.layers + 1)
         ]
-        n_inf = [None] * len(ts)
-        if cfg.case == "A":
-            n_inf = extrapolate_total(N_c, field_rep.layer_sums[0], atom_rep.layer_sums[0]).tolist()
-        # per time point: field layer sums, atom layer sums, running totals
-        f_sums, a_sums, tots = (
-            np.stack(q, axis=-1).tolist()
-            for q in (field_rep.layer_sums, atom_rep.layer_sums, totals)
+        f_sums, a_sums = field_rep.layer_sums, atom_rep.layer_sums
+        n_inf = [extrapolate_total(N_c, f_sums[0], a_sums[0])] if cfg.case == "A" else []
+        values[start:start + step] = np.stack(
+            [ts, N_c, f_sums[0], a_sums[0], *f_sums[1:], *a_sums[1:], *totals, *n_inf,
+             l1_coherence(rho_a), l1_coherence(rho_f)],
+            axis=-1,
         )
-        coh_a, coh_f = l1_coherence(rho_a).tolist(), l1_coherence(rho_f).tolist()
-        for k, (T, n_c, f, a) in enumerate(zip(ts.tolist(), N_c.tolist(), f_sums, a_sums)):
-            rows.append(
-                TimeSeriesRow(
-                    T=T, N_c=n_c, N_f=f[0], N_a=a[0],
-                    res_field=tuple(f[1:]), res_atom=tuple(a[1:]),
-                    N_tot=tuple(tots[k]), N_totInf=n_inf[k], coh_a=coh_a[k], coh_f=coh_f[k],
-                )
-            )
-    return rows
+        if closed is not None:
+            atom_o, field_o = closed(ts)
+            err_a = max(err_a, float(np.max(np.abs(rho_a.matrix - atom_o))))
+            err_f = max(err_f, float(np.max(np.abs(rho_f.matrix - field_o))))
+    errors = None if closed is None else {"atom_reduced": err_a, "field_reduced": err_f}
+    return ScenarioResult(tuple(columns), values, errors)
 
 
 def csv_columns(layers: int) -> list[str]:
@@ -241,56 +276,38 @@ def csv_columns(layers: int) -> list[str]:
     return cols
 
 
-def _fmt(x: float | None) -> str:
-    return "" if x is None else format(x, ".15g")
-
-
-def _row_values(row: TimeSeriesRow) -> list[float | None]:
-    return (
-        [row.T, row.N_c, row.N_f, row.N_a]
-        + list(row.res_field)
-        + list(row.res_atom)
-        + list(row.N_tot)
-        + [row.N_totInf, row.coh_a, row.coh_f]
-    )
-
-
-def write_outputs(rows: list[TimeSeriesRow], cfg: ScenarioConfig, runtime: float = 0.0):
+def write_outputs(result: ScenarioResult, cfg: ScenarioConfig, runtime: float = 0.0):
     """Write <prefix>.csv and <prefix>.summary.json; returns the paths."""
-    if not rows:
+    if len(result.values) == 0:
         raise ValueError("no rows to write")
     cols = csv_columns(cfg.layers)
     csv_path = cfg.output_prefix + ".csv"
     summary_path = cfg.output_prefix + ".summary.json"
-    lines = [",".join(cols)]
-    for row in rows:
-        lines.append(",".join(_fmt(v) for v in _row_values(row)))
+    # a column the result does not hold (N_tot_inf outside case A) stays empty
+    template = ",".join("%.15g" if name in result.columns else "" for name in cols)
+    lines = [",".join(cols)] + [template % tuple(row) for row in result.values.tolist()]
     try:
         with open(csv_path, "w", newline="") as fh:
             fh.write("\n".join(lines) + "\n")
     except OSError as exc:
         raise OSError(f"failed to write {csv_path}: {exc}") from exc
 
-    table = [_row_values(r) for r in rows]
+    times = result.column("T")
     extrema = {}
-    for j, name in enumerate(cols):
+    for name, vals in zip(result.columns, result.values.T):
         if name == "T":
             continue
-        values = [r[j] for r in table]
-        if all(v is None for v in values):
-            continue
-        vals = np.array(values, dtype=float)
         i_min, i_max = int(np.argmin(vals)), int(np.argmax(vals))
         extrema[name] = {
             "min": float(vals[i_min]),
-            "min_T": rows[i_min].T,
+            "min_T": float(times[i_min]),
             "max": float(vals[i_max]),
-            "max_T": rows[i_max].T,
+            "max_T": float(times[i_max]),
         }
     summary = {
         "config": asdict(cfg),
         "extrema": extrema,
-        "min_N_tot_final": min(r.N_tot[-1] for r in rows),
+        "min_N_tot_final": float(np.min(result.column(f"N_tot_{cfg.layers}"))),
         "runtime_seconds": runtime,
     }
     try:
@@ -302,11 +319,7 @@ def write_outputs(rows: list[TimeSeriesRow], cfg: ScenarioConfig, runtime: float
     return csv_path, summary_path
 
 
-def _max_err(pairs) -> float:
-    return float(max(abs(a - b) for a, b in pairs)) if pairs else 0.0
-
-
-def compare_with_oracle(rows: list[TimeSeriesRow], cfg: ScenarioConfig) -> dict:
+def compare_with_oracle(result: ScenarioResult, cfg: ScenarioConfig) -> dict:
     """Per-quantity max-abs-error of the engine against the closed forms."""
     quantities: dict[str, dict] = {}
     engine_only: list[str] = []
@@ -319,45 +332,33 @@ def compare_with_oracle(rows: list[TimeSeriesRow], cfg: ScenarioConfig) -> dict:
             "flagged": err > tol,
         }
 
+    def add_columns(closed: dict[str, list[float]]):
+        for name, want in closed.items():
+            err = float(np.max(np.abs(result.column(name) - np.array(want))))
+            add(name, err, ORACLE_TOL_EXACT)
+
+    times = result.column("T").tolist()
     if cfg.case == "A":
-        recs = [oracle.case_a(r.T) for r in rows]
-        add("N_c", _max_err([(r.N_c, o.N_c) for r, o in zip(rows, recs)]), ORACLE_TOL_EXACT)
-        add("N_f", _max_err([(r.N_f, o.N_f) for r, o in zip(rows, recs)]), ORACLE_TOL_EXACT)
-        add("N_a", _max_err([(r.N_a, o.N_a) for r, o in zip(rows, recs)]), ORACLE_TOL_EXACT)
-        add(
-            "N_tot_1",
-            _max_err([(r.N_tot[0], o.N_tot1) for r, o in zip(rows, recs)]),
-            ORACLE_TOL_EXACT,
-        )
+        recs = [oracle.case_a(T) for T in times]
+        closed = {
+            "N_c": [o.N_c for o in recs],
+            "N_f": [o.N_f for o in recs],
+            "N_a": [o.N_a for o in recs],
+            "N_tot_1": [o.N_tot1 for o in recs],
+        }
         if cfg.layers >= 2:
-            add(
-                "res_f_2",
-                _max_err([(r.res_field[0], 2.0 * o.N_f1) for r, o in zip(rows, recs)]),
-                ORACLE_TOL_EXACT,
-            )
-            add(
-                "res_a_2",
-                _max_err([(r.res_atom[0], 2.0 * o.N_a1) for r, o in zip(rows, recs)]),
-                ORACLE_TOL_EXACT,
-            )
-            add(
-                "N_tot_2",
-                _max_err([(r.N_tot[1], o.N_tot2) for r, o in zip(rows, recs)]),
-                ORACLE_TOL_EXACT,
-            )
-        add(
-            "N_tot_inf",
-            _max_err([(r.N_totInf, o.N_totInf) for r, o in zip(rows, recs)]),
-            ORACLE_TOL_EXACT,
-        )
+            closed["res_f_2"] = [2.0 * o.N_f1 for o in recs]
+            closed["res_a_2"] = [2.0 * o.N_a1 for o in recs]
+            closed["N_tot_2"] = [o.N_tot2 for o in recs]
+        closed["N_tot_inf"] = [o.N_totInf for o in recs]
+        add_columns(closed)
         engine_only += [f"res_f_{n}" for n in range(3, cfg.layers + 1)]
         engine_only += [f"res_a_{n}" for n in range(3, cfg.layers + 1)]
         engine_only += [f"N_tot_{n}" for n in range(3, cfg.layers + 1)]
     elif cfg.case == "B":
         freq = cfg.oracle_case_b_frequency
-        recs = [oracle.case_b(r.T, freq) for r in rows]
-        add("N_c", _max_err([(r.N_c, o.N_c) for r, o in zip(rows, recs)]), ORACLE_TOL_EXACT)
-        add("N_a", _max_err([(r.N_a, o.N_a) for r, o in zip(rows, recs)]), ORACLE_TOL_EXACT)
+        recs = [oracle.case_b(T, freq) for T in times]
+        add_columns({"N_c": [o.N_c for o in recs], "N_a": [o.N_a for o in recs]})
         engine_only.append("N_f")  # no closed form published
         if abs(freq - oracle.CASE_B_RATE_ENGINE) > 1e-12:
             notes.append(
@@ -365,21 +366,16 @@ def compare_with_oracle(rows: list[TimeSeriesRow], cfg: ScenarioConfig) -> dict:
                 f"from the engine doublet rate sqrt(2); mismatches are expected"
             )
     else:
-        if cfg.case == "C":
-            field0 = engine.truncated_thermal(cfg.mean_photon, cfg.field_dim)
-            w = np.real(np.diag(field0.matrix))
-            closed = lambda T: oracle.case_c_reduced(T, float(w[0]), float(w[1]))
+        if result.reduced_errors is None:
+            engine_only += ["atom_reduced", "field_reduced"]
+            notes.append(
+                f"the closed-form reduced matrices describe a three-level field; "
+                f"at field_dim {cfg.field_dim} the truncated state also populates "
+                f"higher levels, so atom_reduced and field_reduced are not compared"
+            )
         else:
-            field0 = engine.truncated_coherent(cfg.alpha, cfg.field_dim)
-            c = np.real(field0.amplitudes)
-            closed = lambda T: oracle.case_d_reduced(T, float(c[0]), float(c[1]))
-        err_a = err_f = 0.0
-        for ts, _, rho_f, rho_a in _evolved_chunks(cfg, np.array([r.T for r in rows])):
-            atom_o, field_o = (np.array(m) for m in zip(*map(closed, ts.tolist())))
-            err_a = max(err_a, float(np.max(np.abs(rho_a.matrix - atom_o))))
-            err_f = max(err_f, float(np.max(np.abs(rho_f.matrix[:, :3, :3] - field_o))))
-        add("atom_reduced", err_a, ORACLE_TOL_REDUCED)
-        add("field_reduced", err_f, ORACLE_TOL_REDUCED)
+            for name, err in result.reduced_errors.items():
+                add(name, err, ORACLE_TOL_REDUCED)
         engine_only += ["N_c", "N_f", "N_a"]
         engine_only += [f"res_f_{n}" for n in range(2, cfg.layers + 1)]
         engine_only += [f"res_a_{n}" for n in range(2, cfg.layers + 1)]
@@ -454,17 +450,17 @@ def main(argv=None) -> int:
 
     start = time.perf_counter()
     try:
-        rows = run_scenario(cfg)
+        result = run_scenario(cfg)
     except (StateValidationError, np.linalg.LinAlgError) as exc:
         print(f"numerical validation failure: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
     runtime = time.perf_counter() - start
 
     try:
-        csv_path, summary_path = write_outputs(rows, cfg, runtime)
+        csv_path, summary_path = write_outputs(result, cfg, runtime)
         written = [csv_path, summary_path]
         if cfg.oracle_compare:
-            report = compare_with_oracle(rows, cfg)
+            report = compare_with_oracle(result, cfg)
             written.append(write_oracle_report(report, cfg))
     except OSError as exc:
         print(f"I/O error: {exc}", file=sys.stderr)

@@ -147,13 +147,15 @@ def truncated_thermal(mean_photon: float, d: int) -> DensityOperator:
 
 
 def truncated_coherent(alpha: complex, d: int) -> StateVector:
-    """Coherent amplitudes truncated with the top level zeroed, renormalized."""
-    n = np.arange(d)
-    c = np.exp(-abs(alpha) ** 2 / 2) * alpha ** n / np.sqrt(
-        [math.factorial(int(k)) for k in n]
-    )
-    c = c.astype(complex)
-    c[d - 1] = 0.0
+    """Coherent amplitudes truncated with the top level zeroed, renormalized.
+
+    Built by the recurrence c[n] = c[n-1] * alpha / sqrt(n), which never
+    forms alpha^n or n! and so stays finite at any dimension.
+    """
+    c = np.zeros(d, dtype=complex)
+    c[0] = np.exp(-abs(alpha) ** 2 / 2)
+    for n in range(1, d - 1):
+        c[n] = c[n - 1] * alpha / math.sqrt(n)
     norm = np.linalg.norm(c)
     tail = 1.0 - norm**2
     if tail > COHERENT_TAIL_TOL:

@@ -104,45 +104,56 @@ def case_b(T: float, omega_b: float = CASE_B_RATE_ENGINE) -> CaseBRecord:
     return CaseBRecord(T, omega_b, N_c, N_a)
 
 
-def case_c_reduced(T: float, p0: float, p1: float) -> tuple[np.ndarray, np.ndarray]:
-    """(atom 2x2, field 3x3) reduced matrices for the thermal case."""
+def _diagonal(*entries) -> np.ndarray:
+    """Stack of diagonal matrices with the given (broadcast) diagonal entries."""
+    entries = np.broadcast_arrays(*entries)
+    n = len(entries)
+    out = np.zeros(entries[0].shape + (n, n), dtype=complex)
+    out[..., range(n), range(n)] = np.stack(entries, axis=-1)
+    return out
+
+
+def case_c_reduced(T, p0: float, p1: float) -> tuple[np.ndarray, np.ndarray]:
+    """(atom 2x2, field 3x3) reduced matrices for the thermal case.
+
+    T is a time or an array of times; the result is one matrix per time.
+    """
     if p0 < 0 or p1 < 0 or abs(p0 + p1 - 1.0) > 1e-6:
         raise ValueError(f"weights must be nonnegative and sum to 1, got {p0}, {p1}")
-    s1, c1 = math.sin(T) ** 2, math.cos(T) ** 2
+    T = np.asarray(T, dtype=float)
+    s1, c1 = np.sin(T) ** 2, np.cos(T) ** 2
     r = math.sqrt(2.0) * T
-    s2, c2 = math.sin(r) ** 2, math.cos(r) ** 2
-    atom = np.diag([p0 * s1 + p1 * s2, p0 * c1 + p1 * c2]).astype(complex)
-    field = np.diag([p0 * c1, p0 * s1 + p1 * c2, p1 * s2]).astype(complex)
+    s2, c2 = np.sin(r) ** 2, np.cos(r) ** 2
+    atom = _diagonal(p0 * s1 + p1 * s2, p0 * c1 + p1 * c2)
+    field = _diagonal(p0 * c1, p0 * s1 + p1 * c2, p1 * s2)
     return atom, field
 
 
-def case_d_reduced(T: float, c0: float, c1: float) -> tuple[np.ndarray, np.ndarray]:
+def case_d_reduced(T, c0: float, c1: float) -> tuple[np.ndarray, np.ndarray]:
     """(atom 2x2, field 3x3) reduced matrices for the coherent case.
 
+    T is a time or an array of times; the result is one matrix per time.
     Amplitudes are expected normalized; a small deviation is tolerated so
     the published unnormalized values (c0 = e^{-1/200}, c1 = c0/10) can be
     evaluated as printed.
     """
     if abs(c0**2 + c1**2 - 1.0) > 1e-3:
         raise ValueError(f"amplitudes too far from normalized: {c0}, {c1}")
-    sT, cT = math.sin(T), math.cos(T)
+    T = np.asarray(T, dtype=float)
+    sT, cT = np.sin(T), np.cos(T)
     r = math.sqrt(2.0) * T
-    sR, cR = math.sin(r), math.cos(r)
-    atom = np.array(
-        [
-            [c0**2 * sT**2 + c1**2 * sR**2, -1j * c0 * c1 * cR * sT],
-            [1j * c0 * c1 * cR * sT, c0**2 * cT**2 + c1**2 * cR**2],
-        ],
-        dtype=complex,
-    )
+    sR, cR = np.sin(r), np.cos(r)
+    atom = np.empty(T.shape + (2, 2), dtype=complex)
+    atom[..., 0, 0] = c0**2 * sT**2 + c1**2 * sR**2
+    atom[..., 0, 1] = -1j * c0 * c1 * cR * sT
+    atom[..., 1, 0] = 1j * c0 * c1 * cR * sT
+    atom[..., 1, 1] = c0**2 * cT**2 + c1**2 * cR**2
     off01 = c0 * c1 * cT * cR
     off12 = c0 * c1 * sT * sR
-    field = np.array(
-        [
-            [c0**2 * cT**2, off01, 0.0],
-            [off01, c0**2 * sT**2 + c1**2 * cR**2, off12],
-            [0.0, off12, c1**2 * sR**2],
-        ],
-        dtype=complex,
-    )
+    field = np.zeros(T.shape + (3, 3), dtype=complex)
+    field[..., 0, 0] = c0**2 * cT**2
+    field[..., 0, 1] = field[..., 1, 0] = off01
+    field[..., 1, 1] = c0**2 * sT**2 + c1**2 * cR**2
+    field[..., 1, 2] = field[..., 2, 1] = off12
+    field[..., 2, 2] = c1**2 * sR**2
     return atom, field

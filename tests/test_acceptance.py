@@ -215,10 +215,11 @@ def test_criterion_8_case_d_reduced_match_and_coherence():
             parse_config({"case": "C", "mean_photon": 0.01, "n_points": 81}),
         ]
         for cfg in cfgs:
-            for row in run_scenario(cfg):
-                assert row.coh_a < 1e-12 and row.coh_f < 1e-12
+            result = run_scenario(cfg)
+            assert np.all(result.column("coh_a") < 1e-12)
+            assert np.all(result.column("coh_f") < 1e-12)
         cfg_d = parse_config({"case": "D", "alpha": 0.1, "t_max": math.pi, "n_points": 5})
-        assert run_scenario(cfg_d)[1].coh_a > 1e-4   # T = pi/4
+        assert run_scenario(cfg_d).column("coh_a")[1] > 1e-4   # T = pi/4
 
 
 def test_criterion_9_structural_properties(tmp_path):

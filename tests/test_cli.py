@@ -8,6 +8,7 @@ from jcnc import cli, engine, oracle
 from jcnc.cli import (
     ConfigError,
     ScenarioConfig,
+    ScenarioResult,
     chunk_points,
     compare_with_oracle,
     csv_columns,
@@ -77,62 +78,70 @@ class TestParseConfig:
         with pytest.raises(ConfigError, match="field_dim"):
             parse_config('{"case": "B", "field_dim": 2}')
 
+    def test_point_bytes_guard(self):
+        # 2^(layers-1) * field_dim^4 complex values per time point
+        assert cli.point_bytes(200, 2) == 2 * 200**4 * 16
+        largest = int((cli.MAX_POINT_BYTES / 16) ** 0.25)   # at one layer
+        assert parse_config({"case": "A", "field_dim": largest, "layers": 1}).field_dim == largest
+        with pytest.raises(ConfigError, match="field_dim"):
+            parse_config({"case": "A", "field_dim": largest + 1, "layers": 1})
+
 
 class TestRunScenario:
     def test_case_a_reference_rows(self):
         cfg = make_config(t_max=math.pi, n_points=5)   # grid hits pi/4
-        rows = run_scenario(cfg)
-        assert [r.T for r in rows] == pytest.approx(
+        result = run_scenario(cfg)
+        assert result.column("T").tolist() == pytest.approx(
             [0, math.pi / 4, math.pi / 2, 3 * math.pi / 4, math.pi]
         )
-        r0 = rows[0]
-        assert r0.N_c == pytest.approx(0.0, abs=1e-12)
-        assert r0.N_f == pytest.approx(0.0, abs=1e-12)
-        assert r0.N_a == pytest.approx(0.5, abs=1e-12)
-        assert r0.coh_a == pytest.approx(0.0, abs=1e-14)
-        r1 = rows[1]
-        assert r1.N_c == pytest.approx(0.5, abs=1e-10)
-        assert r1.N_f == pytest.approx(0.103553390593274, abs=1e-10)
-        assert r1.N_a == pytest.approx(0.103553390593274, abs=1e-10)
+        N_c, N_f, N_a = (result.column(name) for name in ("N_c", "N_f", "N_a"))
+        assert N_c[0] == pytest.approx(0.0, abs=1e-12)
+        assert N_f[0] == pytest.approx(0.0, abs=1e-12)
+        assert N_a[0] == pytest.approx(0.5, abs=1e-12)
+        assert result.column("coh_a")[0] == pytest.approx(0.0, abs=1e-14)
+        assert N_c[1] == pytest.approx(0.5, abs=1e-10)
+        assert N_f[1] == pytest.approx(0.103553390593274, abs=1e-10)
+        assert N_a[1] == pytest.approx(0.103553390593274, abs=1e-10)
 
     def test_rows_ascending_and_nonnegative(self):
-        rows = run_scenario(make_config(case="B", n_points=17))
-        ts = [r.T for r in rows]
+        result = run_scenario(make_config(case="B", n_points=17))
+        ts = result.column("T").tolist()
         assert ts == sorted(ts)
-        for r in rows:
-            for v in (r.N_c, r.N_f, r.N_a, *r.res_field, *r.res_atom):
-                assert v >= -1e-12
+        for name in result.columns:
+            if name in ("N_c", "N_f", "N_a") or name.startswith("res_"):
+                assert np.all(result.column(name) >= -1e-12)
 
     def test_negativity_dimension_bound(self):
-        rows = run_scenario(make_config(case="B", n_points=17))
-        for r in rows:
-            assert r.N_c <= 1.0 + 1e-12   # (d-1)/2 for the 3x3 split... qubit side caps at 1
+        result = run_scenario(make_config(case="B", n_points=17))
+        # (d-1)/2 for the 3x3 split... qubit side caps at 1
+        assert np.all(result.column("N_c") <= 1.0 + 1e-12)
 
     def test_coherence_zero_for_abc(self):
         for kwargs in ({"case": "A"}, {"case": "B"}, {"case": "C", "mean_photon": 0.01}):
-            rows = run_scenario(make_config(n_points=9, **kwargs))
-            for r in rows:
-                assert r.coh_a < 1e-12 and r.coh_f < 1e-12
+            result = run_scenario(make_config(n_points=9, **kwargs))
+            assert np.all(result.column("coh_a") < 1e-12)
+            assert np.all(result.column("coh_f") < 1e-12)
 
     def test_case_d_coherence_positive(self):
         cfg = make_config(case="D", alpha=0.1, t_max=math.pi, n_points=5)
-        row = run_scenario(cfg)[1]   # T = pi/4
-        assert row.coh_a > 1e-4
+        assert run_scenario(cfg).column("coh_a")[1] > 1e-4   # T = pi/4
 
     def test_chunked_run_matches_per_point_calls(self):
         # a grid of three chunks against batch-of-one calls at every time
         step = chunk_points(2, 6)
         cfg = make_config(layers=6, n_points=2 * step + 3)
-        rows = run_scenario(cfg)
+        result = run_scenario(cfg)
         grid = time_grid(cfg)
         rho0 = engine.initial_state(engine.ScenarioCase("A"), 2)
         whole_grid = [cascade(r, 6) for r in engine.reduced_states(engine.evolve(rho0, grid))]
-        for k, (row, T) in enumerate(zip(rows, grid)):
+        sums = ["N_f"] + [f"res_f_{n}" for n in range(2, 7)]
+        sums += ["N_a"] + [f"res_a_{n}" for n in range(2, 7)]
+        for k, T in enumerate(grid):
             rho = engine.evolve(rho0, float(T))
             reports = [cascade(r, 6) for r in engine.reduced_states(rho)]
-            assert row.T == T
-            assert abs(row.N_c - negativity(rho, "a")) < 1e-12
-            got = (row.N_f, *row.res_field, row.N_a, *row.res_atom)
+            assert result.column("T")[k] == T
+            assert abs(result.column("N_c")[k] - negativity(rho, "a")) < 1e-12
+            got = [result.column(name)[k] for name in sums]
             want = (*reports[0].layer_sums, *reports[1].layer_sums)
             assert np.max(np.abs(np.subtract(got, want))) < 1e-12
             for stacked, single in zip(whole_grid, reports):
@@ -141,17 +150,15 @@ class TestRunScenario:
                     assert np.max(np.abs(layer_stack[k] - layer)) < 1e-12
 
     def test_n_tot_inf_only_case_a(self):
-        assert all(r.N_totInf is not None for r in run_scenario(make_config(n_points=5)))
-        assert all(
-            r.N_totInf is None for r in run_scenario(make_config(case="B", n_points=5))
-        )
+        assert np.all(np.isfinite(run_scenario(make_config(n_points=5)).column("N_tot_inf")))
+        assert "N_tot_inf" not in run_scenario(make_config(case="B", n_points=5)).columns
 
 
 class TestWriteOutputs:
     def test_header_and_determinism(self, tmp_path):
         cfg = make_config(n_points=9, output_prefix=str(tmp_path / "runA"))
-        rows = run_scenario(cfg)
-        csv_path, summary_path = write_outputs(rows, cfg, runtime=1.0)
+        result = run_scenario(cfg)
+        csv_path, summary_path = write_outputs(result, cfg, runtime=1.0)
         first = open(csv_path, "rb").read()
         write_outputs(run_scenario(cfg), cfg, runtime=2.0)
         second = open(csv_path, "rb").read()
@@ -162,8 +169,7 @@ class TestWriteOutputs:
 
     def test_summary_contents(self, tmp_path):
         cfg = make_config(n_points=17, output_prefix=str(tmp_path / "runA"))
-        rows = run_scenario(cfg)
-        _, summary_path = write_outputs(rows, cfg)
+        _, summary_path = write_outputs(run_scenario(cfg), cfg)
         summary = json.load(open(summary_path))
         assert summary["config"]["case"] == "A"
         assert summary["min_N_tot_final"] >= 0.5 - 1e-9
@@ -171,22 +177,22 @@ class TestWriteOutputs:
 
     def test_empty_field_for_n_tot_inf(self, tmp_path):
         cfg = make_config(case="B", n_points=5, output_prefix=str(tmp_path / "runB"))
-        rows = run_scenario(cfg)
-        csv_path, _ = write_outputs(rows, cfg)
+        csv_path, _ = write_outputs(run_scenario(cfg), cfg)
         line = open(csv_path).read().splitlines()[1].split(",")
         cols = csv_columns(cfg.layers)
         assert line[cols.index("N_tot_inf")] == ""
 
     def test_empty_rows_rejected(self, tmp_path):
         cfg = make_config(output_prefix=str(tmp_path / "x"))
+        empty = ScenarioResult(tuple(csv_columns(cfg.layers)), np.empty((0, 11)), None)
         with pytest.raises(ValueError):
-            write_outputs([], cfg)
+            write_outputs(empty, cfg)
 
     def test_io_error_path_context(self, tmp_path):
         cfg = make_config(n_points=5, output_prefix=str(tmp_path / "missing" / "x"))
-        rows = run_scenario(cfg)
+        result = run_scenario(cfg)
         with pytest.raises(OSError, match="missing"):
-            write_outputs(rows, cfg)
+            write_outputs(result, cfg)
 
 
 class TestCompareWithOracle:
@@ -223,6 +229,40 @@ class TestCompareWithOracle:
         cfg = make_config(case="D", alpha=0.1, n_points=41)
         report = compare_with_oracle(run_scenario(cfg), cfg)
         assert not report["any_flagged"]
+
+    @pytest.mark.parametrize(
+        "args",
+        [
+            ["--case", "C", "--mean-photon", "0.02", "--field-dim", "4"],
+            ["--case", "D", "--alpha", "0.3", "--field-dim", "4"],
+        ],
+        ids=["C", "D"],
+    )
+    def test_no_reduced_closed_form_above_three_levels(self, args, tmp_path):
+        prefix = str(tmp_path / "x")
+        code = main(args + ["--n-points", "9", "--oracle-compare", "--output-prefix", prefix])
+        assert code == 0
+        report = json.load(open(prefix + ".oracle.json"))
+        assert {"atom_reduced", "field_reduced"} <= set(report["engine_only"])
+        assert any("three-level field" in note for note in report["notes"])
+        assert not report["any_flagged"]
+
+    def test_oracle_check_shares_the_run_pass(self, tmp_path, monkeypatch):
+        calls = []
+        evolve = engine.evolve
+
+        def counting_evolve(rho0, T):
+            calls.append(np.shape(T))
+            return evolve(rho0, T)
+
+        monkeypatch.setattr(engine, "evolve", counting_evolve)
+        n_points = 2 * chunk_points(3, 2) + 5   # three chunks
+        args = ["--case", "C", "--mean-photon", "0.01", "--n-points", str(n_points)]
+        prefix = str(tmp_path / "c")
+        assert main(args + ["--oracle-compare", "--output-prefix", prefix]) == 0
+        assert len(calls) == 3
+        report = json.load(open(prefix + ".oracle.json"))
+        assert report["quantities"]["atom_reduced"]["max_abs_error"] < 1e-8
 
 
 class TestMain:
@@ -265,10 +305,17 @@ class TestMain:
             ["--case", "C", "--mean-photon", "inf"],
             ["--case", "D", "--alpha", "nan"],
             ["--case", "B", "--oracle-case-b-frequency", "inf"],
+            ["--case", "A", "--field-dim", "200"],
+            ["--case", "D", "--alpha", "3", "--field-dim", "200"],
         ],
-        ids=["layers-7", "t-max-nan", "t-max-inf", "mean-photon-inf", "alpha-nan", "freq-inf"],
+        ids=[
+            "layers-7", "t-max-nan", "t-max-inf", "mean-photon-inf", "alpha-nan", "freq-inf",
+            "A-field-dim-200", "D-field-dim-200",
+        ],
     )
-    def test_out_of_range_input_is_a_config_error(self, args, tmp_path, capsys):
+    def test_out_of_range_input_is_a_config_error(self, args, tmp_path, monkeypatch, capsys):
+        # refused while parsing: the run, and any allocation it makes, never starts
+        monkeypatch.setattr(cli, "run_scenario", lambda cfg: pytest.fail("run started"))
         assert main(args + ["--n-points", "3", "--output-prefix", str(tmp_path / "x")]) == 2
         assert "config error" in capsys.readouterr().err
 

@@ -1,3 +1,4 @@
+import math
 import warnings
 
 import numpy as np
@@ -217,6 +218,23 @@ class TestTruncatedThermal:
 
 
 class TestTruncatedCoherent:
+    @pytest.mark.filterwarnings("ignore")   # the larger alphas lose norm at small d
+    def test_matches_factorial_formula(self):
+        for d in range(2, 9):
+            n = np.arange(d)
+            for alpha in (0.1, 0.3, 1.0, -0.7, 0.4 + 0.3j):
+                c = np.exp(-abs(alpha) ** 2 / 2) * alpha**n / np.sqrt(
+                    [math.factorial(int(k)) for k in n]
+                )
+                c = c.astype(complex)
+                c[d - 1] = 0.0
+                c /= np.linalg.norm(c)
+                assert np.max(np.abs(truncated_coherent(alpha, d).amplitudes - c)) < 1e-15
+
+    def test_normalized_at_large_dimension(self):
+        st = truncated_coherent(3.0, 200)
+        assert abs(np.linalg.norm(st.amplitudes) - 1.0) < 1e-15
+
     def test_reference_amplitudes(self):
         st = truncated_coherent(0.1, 3)
         c0 = np.exp(-1 / 200)

@@ -177,3 +177,20 @@ class TestCaseDReduced:
     def test_bad_amplitudes(self):
         with pytest.raises(ValueError):
             oracle.case_d_reduced(0.5, 0.9, 0.9)
+
+
+@pytest.mark.parametrize(
+    "closed_form, params",
+    [
+        (oracle.case_c_reduced, (0.9, 0.1)),
+        (oracle.case_d_reduced, (np.sqrt(0.97), np.sqrt(0.03))),
+    ],
+    ids=["case_c", "case_d"],
+)
+def test_array_times_match_scalar_calls(closed_form, params):
+    atom, field = closed_form(GRID, *params)
+    scalar = [closed_form(float(T), *params) for T in GRID]
+    assert scalar[0][0].shape == (2, 2) and scalar[0][1].shape == (3, 3)
+    for stacked, per_time in ((atom, [s[0] for s in scalar]), (field, [s[1] for s in scalar])):
+        assert stacked.shape == (len(GRID),) + per_time[0].shape
+        assert np.max(np.abs(stacked - np.stack(per_time))) < 1e-15
