@@ -9,7 +9,6 @@ nonclassicality depleted by cascaded beam-splitter layers.
 from .hilbert import (
     DensityOperator,
     ModeLayout,
-    Spectrum,
     StateVector,
     annihilation,
     hermitian_eigenvalues,
@@ -18,10 +17,8 @@ from .hilbert import (
     partial_trace,
     partial_transpose,
     tensor,
-    validate_density,
 )
 from .engine import (
-    JCParams,
     ScenarioCase,
     evolve,
     initial_state,
@@ -33,7 +30,6 @@ from .engine import (
 )
 from .nonclassicality import (
     CascadeReport,
-    TotalsRecord,
     beam_splitter_unitary,
     bs_output,
     cascade,
@@ -47,7 +43,6 @@ from .cli import ScenarioConfig, compare_with_oracle, parse_config, run_scenario
 __all__ = [
     "DensityOperator",
     "ModeLayout",
-    "Spectrum",
     "StateVector",
     "annihilation",
     "hermitian_eigenvalues",
@@ -56,8 +51,6 @@ __all__ = [
     "partial_trace",
     "partial_transpose",
     "tensor",
-    "validate_density",
-    "JCParams",
     "ScenarioCase",
     "evolve",
     "initial_state",
@@ -67,7 +60,6 @@ __all__ = [
     "truncated_coherent",
     "truncated_thermal",
     "CascadeReport",
-    "TotalsRecord",
     "beam_splitter_unitary",
     "bs_output",
     "cascade",

@@ -14,7 +14,7 @@ import math
 import sys
 import time
 import warnings
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, fields
 
 import numpy as np
 
@@ -38,10 +38,11 @@ ORACLE_TOL_REDUCED = 1e-8    # cases C and D (reduced-matrix transcriptions)
 # amortizes the per-call overhead.
 CHUNK_BYTES = 64 * 1024
 
-# Largest per-time-point stack a run may need, the deepest layer's
-# beam-splitter outputs. A chunk holds at least one time point, so a
-# config above this is refused before anything is allocated.
-MAX_POINT_BYTES = 64 * 1024**2
+# Largest single array a run allocates: the (n_points, n_columns) result
+# array, or one time point's deepest-layer beam-splitter outputs (a chunk
+# holds at least one point). A config above it is refused before anything
+# is allocated.
+MAX_ARRAY_BYTES = 64 * 1024**2
 
 
 class ConfigError(ValueError):
@@ -62,27 +63,29 @@ class ScenarioConfig:
     output_prefix: str
 
 
-_CONFIG_KEYS = {
-    "case",
-    "field_dim",
-    "mean_photon",
-    "alpha",
-    "t_max",
-    "n_points",
-    "layers",
-    "oracle_compare",
-    "oracle_case_b_frequency",
-    "output_prefix",
-}
+_CONFIG_KEYS = {f.name for f in fields(ScenarioConfig)}
 
 
 def _require_number(values: dict, key: str) -> float:
     v = values[key]
     if isinstance(v, bool) or not isinstance(v, (int, float)):
         raise ConfigError(f"field {key!r}: expected a number, got {v!r}")
-    if not math.isfinite(v):
+    try:
+        number = float(v)
+    except OverflowError:   # a JSON integer beyond the float range
+        number = math.inf
+    if not math.isfinite(number):
         raise ConfigError(f"field {key!r}: must be finite, got {v!r}")
-    return float(v)
+    return number
+
+
+def _require_int(values: dict, key: str, default: int) -> int:
+    v = values.get(key, default)
+    if isinstance(v, float) and v.is_integer():
+        v = int(v)
+    if isinstance(v, bool) or not isinstance(v, int):
+        raise ConfigError(f"field {key!r}: expected an integer, got {v!r}")
+    return v
 
 
 def parse_config(source) -> ScenarioConfig:
@@ -106,7 +109,7 @@ def parse_config(source) -> ScenarioConfig:
     if case not in CASES:
         raise ConfigError(f"field 'case': must be one of {CASES}, got {values['case']!r}")
 
-    field_dim = int(values.get("field_dim", 2 if case == "A" else 3))
+    field_dim = _require_int(values, "field_dim", 2 if case == "A" else 3)
     if field_dim < 2:
         raise ConfigError(f"field 'field_dim': must be >= 2, got {field_dim}")
     if case != "A" and field_dim < 3:
@@ -130,17 +133,24 @@ def parse_config(source) -> ScenarioConfig:
     t_max = _require_number(values, "t_max") if "t_max" in values else 2.0 * math.pi
     if t_max <= 0:
         raise ConfigError(f"field 't_max': must be > 0, got {t_max}")
-    n_points = int(values.get("n_points", 401))
+    n_points = _require_int(values, "n_points", 401)
     if n_points < 2:
         raise ConfigError(f"field 'n_points': must be >= 2, got {n_points}")
-    layers = int(values.get("layers", 2))
+    layers = _require_int(values, "layers", 2)
     if not 1 <= layers <= MAX_CASCADE_LAYERS:
         raise ConfigError(f"field 'layers': must be in [1, {MAX_CASCADE_LAYERS}], got {layers}")
-    if point_bytes(field_dim, layers) > MAX_POINT_BYTES:
+    if point_bytes(field_dim, layers) > MAX_ARRAY_BYTES:
         raise ConfigError(
             f"field 'field_dim': {field_dim} at {layers} layers needs "
             f"{point_bytes(field_dim, layers)} bytes of beam-splitter output per "
-            f"time point, above the {MAX_POINT_BYTES}-byte limit"
+            f"time point, above the {MAX_ARRAY_BYTES}-byte limit"
+        )
+    # the result array holds at most one float column per CSV column
+    result_bytes = n_points * len(csv_columns(layers)) * np.dtype(float).itemsize
+    if result_bytes > MAX_ARRAY_BYTES:
+        raise ConfigError(
+            f"field 'n_points': {n_points} points at {layers} layers need a "
+            f"{result_bytes}-byte result array, above the {MAX_ARRAY_BYTES}-byte limit"
         )
     oracle_compare = values.get("oracle_compare", False)
     if not isinstance(oracle_compare, bool):
@@ -165,14 +175,6 @@ def parse_config(source) -> ScenarioConfig:
         oracle_compare=oracle_compare,
         oracle_case_b_frequency=freq,
         output_prefix=output_prefix,
-    )
-
-
-def _scenario_case(cfg: ScenarioConfig) -> engine.ScenarioCase:
-    return engine.ScenarioCase(
-        cfg.case,
-        mean_photon=cfg.mean_photon if cfg.case == "C" else None,
-        alpha=cfg.alpha if cfg.case == "D" else None,
     )
 
 
@@ -239,7 +241,9 @@ def run_scenario(cfg: ScenarioConfig) -> ScenarioResult:
     values = np.empty((len(times), len(columns)))
     closed = _reduced_closed_form(cfg)
     err_a = err_f = 0.0
-    rho0 = engine.initial_state(_scenario_case(cfg), cfg.field_dim)
+    rho0 = engine.initial_state(
+        engine.ScenarioCase(cfg.case, cfg.mean_photon, cfg.alpha), cfg.field_dim
+    )
     step = chunk_points(cfg.field_dim, cfg.layers)
     for start in range(0, len(times), step):
         ts = times[start:start + step]
@@ -267,6 +271,14 @@ def run_scenario(cfg: ScenarioConfig) -> ScenarioResult:
     return ScenarioResult(tuple(columns), values, errors)
 
 
+def _write(path: str, text: str) -> None:
+    try:
+        with open(path, "w", newline="") as fh:
+            fh.write(text)
+    except OSError as exc:
+        raise OSError(f"failed to write {path}: {exc}") from exc
+
+
 def csv_columns(layers: int) -> list[str]:
     cols = ["T", "N_c", "N_f", "N_a"]
     cols += [f"res_f_{n}" for n in range(2, layers + 1)]
@@ -286,11 +298,7 @@ def write_outputs(result: ScenarioResult, cfg: ScenarioConfig, runtime: float = 
     # a column the result does not hold (N_tot_inf outside case A) stays empty
     template = ",".join("%.15g" if name in result.columns else "" for name in cols)
     lines = [",".join(cols)] + [template % tuple(row) for row in result.values.tolist()]
-    try:
-        with open(csv_path, "w", newline="") as fh:
-            fh.write("\n".join(lines) + "\n")
-    except OSError as exc:
-        raise OSError(f"failed to write {csv_path}: {exc}") from exc
+    _write(csv_path, "\n".join(lines) + "\n")
 
     times = result.column("T")
     extrema = {}
@@ -310,12 +318,7 @@ def write_outputs(result: ScenarioResult, cfg: ScenarioConfig, runtime: float = 
         "min_N_tot_final": float(np.min(result.column(f"N_tot_{cfg.layers}"))),
         "runtime_seconds": runtime,
     }
-    try:
-        with open(summary_path, "w", newline="") as fh:
-            json.dump(summary, fh, indent=2, sort_keys=True)
-            fh.write("\n")
-    except OSError as exc:
-        raise OSError(f"failed to write {summary_path}: {exc}") from exc
+    _write(summary_path, json.dumps(summary, indent=2, sort_keys=True) + "\n")
     return csv_path, summary_path
 
 
@@ -390,12 +393,7 @@ def compare_with_oracle(result: ScenarioResult, cfg: ScenarioConfig) -> dict:
 
 def write_oracle_report(report: dict, cfg: ScenarioConfig) -> str:
     path = cfg.output_prefix + ".oracle.json"
-    try:
-        with open(path, "w", newline="") as fh:
-            json.dump(report, fh, indent=2, sort_keys=True)
-            fh.write("\n")
-    except OSError as exc:
-        raise OSError(f"failed to write {path}: {exc}") from exc
+    _write(path, json.dumps(report, indent=2, sort_keys=True) + "\n")
     return path
 
 

@@ -41,18 +41,6 @@ COHERENT_TAIL_TOL = 1e-3
 
 
 @dataclass(frozen=True)
-class JCParams:
-    """Field truncation and (unused by reported quantities) free frequency."""
-
-    field_dim: int
-    omega: float = 0.0
-
-    def __post_init__(self):
-        if self.field_dim < 2:
-            raise DimensionError(f"field_dim must be >= 2, got {self.field_dim}")
-
-
-@dataclass(frozen=True)
 class ScenarioCase:
     """One of the four initial-state cases.
 

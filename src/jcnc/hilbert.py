@@ -12,6 +12,7 @@ each matrix of a stack independently, with one numpy call per stack.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import reduce
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -82,9 +83,6 @@ class ModeLayout:
             return self.labels.index(label)
         except ValueError:
             raise LabelError(f"unknown subsystem label {label!r}") from None
-
-    def __add__(self, other: "ModeLayout") -> "ModeLayout":
-        return ModeLayout(self.subsystems + other.subsystems)
 
 
 def single_mode(label: str, dim: int) -> ModeLayout:
@@ -160,17 +158,6 @@ class DensityOperator:
 
 
 @dataclass(frozen=True)
-class Spectrum:
-    """Real eigenvalues in ascending order along the last axis."""
-
-    eigenvalues: np.ndarray
-
-    def __post_init__(self):
-        ev = np.asarray(self.eigenvalues, dtype=float)
-        object.__setattr__(self, "eigenvalues", ev)
-
-
-@dataclass(frozen=True)
 class DensityDiagnostics:
     """Report of the three density-operator invariants against a tolerance,
     at the worst matrix of a stack for each."""
@@ -189,11 +176,6 @@ def annihilation(d: int) -> np.ndarray:
     return np.diag(np.sqrt(np.arange(1, d)), 1).astype(complex)
 
 
-def number_operator(d: int) -> np.ndarray:
-    a = annihilation(d)
-    return a.conj().T @ a
-
-
 def fock(n: int, d: int) -> np.ndarray:
     """Fock basis vector |n> in dimension d."""
     if not 0 <= n < d:
@@ -203,32 +185,11 @@ def fock(n: int, d: int) -> np.ndarray:
     return v
 
 
-def tensor(factors: Sequence):
-    """Kronecker product of matrices or vectors, in the given order.
-
-    Accepts either raw ndarrays (all square matrices or all vectors) or
-    layout-carrying DensityOperator / StateVector values, whose layouts are
-    concatenated in order.
-    """
+def tensor(factors: Sequence[np.ndarray]) -> np.ndarray:
+    """Kronecker product of square matrices or of vectors, in the given order."""
     if len(factors) == 0:
         raise ValueError("tensor needs at least one factor")
-    if all(isinstance(f, DensityOperator) for f in factors):
-        layout = factors[0].layout
-        for f in factors[1:]:
-            layout = layout + f.layout
-        mat = tensor([f.matrix for f in factors])
-        return DensityOperator(layout, mat)
-    if all(isinstance(f, StateVector) for f in factors):
-        layout = factors[0].layout
-        for f in factors[1:]:
-            layout = layout + f.layout
-        amps = tensor([f.amplitudes for f in factors])
-        return StateVector(layout, amps)
-    arrays = []
-    for f in factors:
-        if isinstance(f, (DensityOperator, StateVector)):
-            raise TypeError("cannot mix layout-carrying values with raw arrays")
-        arrays.append(np.asarray(f, dtype=complex))
+    arrays = [np.asarray(f, dtype=complex) for f in factors]
     ndims = {a.ndim for a in arrays}
     if ndims == {2}:
         for a in arrays:
@@ -236,10 +197,7 @@ def tensor(factors: Sequence):
                 raise ShapeError(f"non-square matrix factor of shape {a.shape}")
     elif ndims != {1}:
         raise TypeError("tensor factors must be all matrices or all vectors")
-    out = arrays[0]
-    for a in arrays[1:]:
-        out = np.kron(out, a)
-    return out
+    return reduce(np.kron, arrays)
 
 
 def dagger(matrix: np.ndarray) -> np.ndarray:
@@ -283,7 +241,7 @@ def partial_transpose(rho: DensityOperator, subsystem: str) -> np.ndarray:
     return t.reshape(rho.matrix.shape)
 
 
-def hermitian_eigenvalues(matrix: np.ndarray) -> Spectrum:
+def hermitian_eigenvalues(matrix: np.ndarray) -> np.ndarray:
     """Ascending real spectra of a (..., n, n) stack of Hermitian matrices."""
     m = np.asarray(matrix, dtype=complex)
     if m.ndim < 2 or m.shape[-1] != m.shape[-2]:
@@ -291,7 +249,7 @@ def hermitian_eigenvalues(matrix: np.ndarray) -> Spectrum:
     dev = float(np.max(np.abs(m - dagger(m)))) if m.size else 0.0
     if dev > EIGH_HERMITICITY_TOL:
         raise ShapeError(f"hermiticity deviation {dev:.3e} > {EIGH_HERMITICITY_TOL}")
-    return Spectrum(np.linalg.eigvalsh(m))
+    return np.linalg.eigvalsh(m)
 
 
 def negativity(rho: DensityOperator, subsystem: str):
@@ -300,7 +258,7 @@ def negativity(rho: DensityOperator, subsystem: str):
     One value per matrix of the stack: a float for a single state, an
     array of the stack's batch shape otherwise.
     """
-    ev = hermitian_eigenvalues(partial_transpose(rho, subsystem)).eigenvalues
+    ev = hermitian_eigenvalues(partial_transpose(rho, subsystem))
     # + 0.0 turns the -0.0 of an all-zero sum into 0.0, which prints as 0
     return (-np.sum(np.where(ev < NEGATIVITY_EIG_FLOOR, ev, 0.0), axis=-1) + 0.0)[()]
 
@@ -312,18 +270,13 @@ def l1_coherence(rho: DensityOperator):
     return (np.sum(m, axis=(-2, -1)) - np.trace(m, axis1=-2, axis2=-1))[()]
 
 
-def density_diagnostics(matrix: np.ndarray, tol: float) -> DensityDiagnostics:
-    """Raw invariant check on an arbitrary (..., n, n) stack of square matrices."""
-    m = np.asarray(matrix, dtype=complex)
+def density_diagnostics(rho, tol: float = PSD_TOL) -> DensityDiagnostics:
+    """Invariant check of a DensityOperator or a raw (..., n, n) stack of
+    square matrices; never raises."""
+    m = np.asarray(rho.matrix if isinstance(rho, DensityOperator) else rho, dtype=complex)
     herm = float(np.max(np.abs(m - dagger(m))))
     trace_dev = float(np.max(np.abs(np.trace(m, axis1=-2, axis2=-1) - 1.0)))
     # eigenvalues of the Hermitian part; meaningful once herm is small
     min_eig = float(np.min(np.linalg.eigvalsh(0.5 * (m + dagger(m)))))
     ok = herm <= tol and trace_dev <= tol and min_eig >= -tol
     return DensityDiagnostics(herm, trace_dev, min_eig, tol, ok)
-
-
-def validate_density(rho, tol: float = PSD_TOL) -> DensityDiagnostics:
-    """Diagnostics for a DensityOperator or raw matrix stack; never raises."""
-    m = rho.matrix if isinstance(rho, DensityOperator) else rho
-    return density_diagnostics(m, tol)

@@ -28,7 +28,9 @@ from .hilbert import (
 
 MAX_CASCADE_LAYERS = 6
 
-ANCILLA_SUFFIX = "0"
+# Fraction of a layer's potential left in the next layer, behind N_tot_inf:
+# two branches times the observed ~1/5 per-branch depletion.
+DEPLETION_RATIO = 2.0 / 5.0
 
 
 @lru_cache(maxsize=None)
@@ -49,10 +51,6 @@ def beam_splitter_unitary(d: int) -> np.ndarray:
     return u
 
 
-def _ancilla_label(label: str) -> str:
-    return label + ANCILLA_SUFFIX
-
-
 def bs_output(rho_mode: DensityOperator) -> DensityOperator:
     """Mix a single-mode state stack with a same-dimension vacuum ancilla."""
     if len(rho_mode.layout.subsystems) != 1:
@@ -62,7 +60,7 @@ def bs_output(rho_mode: DensityOperator) -> DensityOperator:
     u0 = beam_splitter_unitary(d)[:, ::d]
     out = u0 @ rho_mode.matrix @ dagger(u0)
     out = 0.5 * (out + dagger(out))
-    layout = ModeLayout(((label, d), (_ancilla_label(label), d)))
+    layout = ModeLayout(((label, d), (label + "0", d)))
     return DensityOperator(layout, out)
 
 
@@ -78,30 +76,18 @@ class CascadeReport:
 
     Layer n holds 2^(n-1) branch potentials along its last axis, after the
     batch axes of the input stack; the children of branch i in layer n sit
-    at positions 2i and 2i+1 of layer n+1. Layer sums and the ratios of
-    consecutive layer sums have the batch shape; a ratio whose parent sum
-    is not positive is NaN.
+    at positions 2i and 2i+1 of layer n+1. Layer sums have the batch shape.
     """
 
     subsystem: str
     layers: tuple[np.ndarray, ...]
     layer_sums: tuple[np.ndarray, ...]
-    depletion_ratios: tuple[np.ndarray, ...]
 
     def __post_init__(self):
         for n, layer in enumerate(self.layers):
             width = np.shape(layer)[-1]
             if width != 2**n:
                 raise ValueError(f"layer {n + 1} has {width} entries, expected {2**n}")
-
-
-@dataclass(frozen=True)
-class TotalsRecord:
-    """Correlation negativity plus running per-layer totals."""
-
-    N_c: float
-    per_layer: tuple[float, ...]
-    extrapolated: float
 
 
 def cascade(rho_mode: DensityOperator, layers: int) -> CascadeReport:
@@ -133,11 +119,7 @@ def cascade(rho_mode: DensityOperator, layers: int) -> CascadeReport:
         states = DensityOperator.stack([partial_trace(out, {kept}) for kept in out.layout.labels])
     # Python's sum adds the branches in order, elementwise over the batch
     sums = tuple(sum(np.moveaxis(layer, -1, 0)) for layer in all_layers)
-    ratios = tuple(
-        np.divide(cur, prev, out=np.full(batch, np.nan), where=prev > 0.0)[()]
-        for prev, cur in zip(sums, sums[1:])
-    )
-    return CascadeReport(rho_mode.layout.labels[0], tuple(all_layers), sums, ratios)
+    return CascadeReport(rho_mode.layout.labels[0], tuple(all_layers), sums)
 
 
 def total_nonclassicality(
@@ -157,17 +139,9 @@ def total_nonclassicality(
     )
 
 
-def extrapolate_total(
-    N_c: float, N_f: float, N_a: float, ratio: float = 2.0 / 5.0
-) -> float:
-    """Geometric-series limit of the cascade totals.
-
-    The default ratio 2/5 is two branches times the observed ~1/5 per-layer
-    depletion; it is a named default, not a constant.
-    """
-    if not 0.0 <= ratio < 1.0:
-        raise ValueError(f"ratio must be in [0, 1), got {ratio}")
-    return N_c + (N_f + N_a) / (1.0 - ratio)
+def extrapolate_total(N_c: float, N_f: float, N_a: float) -> float:
+    """Geometric-series limit of the cascade totals at DEPLETION_RATIO."""
+    return N_c + (N_f + N_a) / (1.0 - DEPLETION_RATIO)
 
 
 def depletion_ratios(report: CascadeReport, floor: float = 1e-3) -> list[float]:

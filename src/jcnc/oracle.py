@@ -13,10 +13,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .nonclassicality import DEPLETION_RATIO
+
 CASE_B_RATE_ENGINE = math.sqrt(2.0)   # doublet rate of the truncated dynamics
 CASE_B_RATE_PRINTED = math.sqrt(3.0)  # as printed in the source formulas
-
-DEPLETION_RATIO = 2.0 / 5.0
 
 
 @dataclass(frozen=True)

@@ -81,10 +81,22 @@ class TestParseConfig:
     def test_point_bytes_guard(self):
         # 2^(layers-1) * field_dim^4 complex values per time point
         assert cli.point_bytes(200, 2) == 2 * 200**4 * 16
-        largest = int((cli.MAX_POINT_BYTES / 16) ** 0.25)   # at one layer
+        largest = int((cli.MAX_ARRAY_BYTES / 16) ** 0.25)   # at one layer
         assert parse_config({"case": "A", "field_dim": largest, "layers": 1}).field_dim == largest
         with pytest.raises(ConfigError, match="field_dim"):
             parse_config({"case": "A", "field_dim": largest + 1, "layers": 1})
+
+    def test_result_array_guard(self):
+        # one float64 per grid time and CSV column
+        largest = cli.MAX_ARRAY_BYTES // (8 * len(csv_columns(2)))
+        assert parse_config({"case": "A", "n_points": largest}).n_points == largest
+        with pytest.raises(ConfigError, match="n_points"):
+            parse_config({"case": "A", "n_points": largest + 1})
+
+    def test_integral_float_accepted(self):
+        cfg = parse_config({"case": "A", "n_points": 401.0, "field_dim": 2.0, "layers": 3.0})
+        assert (cfg.n_points, cfg.field_dim, cfg.layers) == (401, 2, 3)
+        assert all(type(v) is int for v in (cfg.n_points, cfg.field_dim, cfg.layers))
 
 
 class TestRunScenario:
@@ -317,6 +329,37 @@ class TestMain:
         # refused while parsing: the run, and any allocation it makes, never starts
         monkeypatch.setattr(cli, "run_scenario", lambda cfg: pytest.fail("run started"))
         assert main(args + ["--n-points", "3", "--output-prefix", str(tmp_path / "x")]) == 2
+        assert "config error" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "document",
+        [
+            '{"case": "A", "n_points": 1e400}',
+            '{"case": "A", "field_dim": 1e400}',
+            '{"case": "A", "layers": 1e400}',
+            '{"case": "A", "layers": true}',
+            '{"case": "A", "field_dim": 2.9}',
+            '{"case": "C", "mean_photon": 1' + "0" * 400 + "}",
+        ],
+        ids=[
+            "n-points-1e400", "field-dim-1e400", "layers-1e400", "layers-true", "field-dim-2.9",
+            "mean-photon-401-digits",
+        ],
+    )
+    def test_bad_number_in_config_file_is_a_config_error(
+        self, document, tmp_path, monkeypatch, capsys
+    ):
+        monkeypatch.setattr(cli, "run_scenario", lambda cfg: pytest.fail("run started"))
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(document)
+        assert main(["--config", str(cfg_path), "--output-prefix", str(tmp_path / "x")]) == 2
+        assert "config error" in capsys.readouterr().err
+
+    def test_too_many_points_is_a_config_error(self, tmp_path, monkeypatch, capsys):
+        # the time grid alone would take 75 GiB, the result array ten times that
+        monkeypatch.setattr(cli, "run_scenario", lambda cfg: pytest.fail("run started"))
+        args = ["--case", "C", "--mean-photon", "0.01", "--n-points", "10000000000"]
+        assert main(args + ["--output-prefix", str(tmp_path / "x")]) == 2
         assert "config error" in capsys.readouterr().err
 
     def test_linalg_error_exit_code(self, tmp_path, monkeypatch, capsys):

@@ -7,7 +7,6 @@ import pytest
 from jcnc.engine import (
     ATOM,
     FIELD,
-    JCParams,
     ScenarioCase,
     evolve,
     initial_state,
@@ -25,10 +24,10 @@ from jcnc.hilbert import (
     DimensionError,
     ShapeError,
     StateVector,
+    density_diagnostics,
     fock,
     single_mode,
     tensor,
-    validate_density,
 )
 
 
@@ -59,10 +58,6 @@ class TestHamiltonian:
     def test_invalid_dim(self):
         with pytest.raises(DimensionError):
             interaction_hamiltonian(1)
-
-    def test_params_validation(self):
-        with pytest.raises(DimensionError):
-            JCParams(field_dim=1)
 
 
 class TestEvolve:
@@ -108,7 +103,7 @@ class TestEvolve:
         rho0 = initial_state(ScenarioCase("C", mean_photon=0.3), 4)
         spec0 = np.sort(np.linalg.eigvalsh(rho0.matrix))
         rho = evolve(rho0, 2.1)
-        assert validate_density(rho, 1e-10).ok
+        assert density_diagnostics(rho, 1e-10).ok
         assert np.allclose(np.sort(np.linalg.eigvalsh(rho.matrix)), spec0, atol=1e-10)
 
     def test_group_property(self):

@@ -204,7 +204,7 @@ class TestCascade:
 
     def test_report_shape_validation(self):
         with pytest.raises(ValueError):
-            CascadeReport("f", ((0.1,), (0.2,)), (0.1, 0.2), ())
+            CascadeReport("f", ((0.1,), (0.2,)), (0.1, 0.2))
 
 
 class TestAtomFieldDuality:
@@ -261,10 +261,6 @@ class TestExtrapolation:
         expected = 0.5 + (5 / 3) * (SQRT2 - 1) / 2
         assert abs(extrapolate_total(0.5, (SQRT2 - 1) / 4, (SQRT2 - 1) / 4) - expected) < 1e-12
         assert extrapolate_total(0.3, 0.0, 0.0) == 0.3
-
-    def test_bad_ratio(self):
-        with pytest.raises(ValueError):
-            extrapolate_total(0.0, 0.1, 0.1, ratio=1.0)
 
 
 class TestDepletionRatios:
