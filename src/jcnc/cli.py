@@ -66,7 +66,9 @@ class ScenarioConfig:
 _CONFIG_KEYS = {f.name for f in fields(ScenarioConfig)}
 
 
-def _require_number(values: dict, key: str) -> float:
+def _require_number(values: dict, key: str, default: float | None = None) -> float | None:
+    if key not in values:
+        return default
     v = values[key]
     if isinstance(v, bool) or not isinstance(v, (int, float)):
         raise ConfigError(f"field {key!r}: expected a number, got {v!r}")
@@ -115,8 +117,8 @@ def parse_config(source) -> ScenarioConfig:
     if case != "A" and field_dim < 3:
         raise ConfigError(f"field 'field_dim': case {case} needs >= 3, got {field_dim}")
 
-    mean_photon = _require_number(values, "mean_photon") if "mean_photon" in values else None
-    alpha = _require_number(values, "alpha") if "alpha" in values else None
+    mean_photon = _require_number(values, "mean_photon")
+    alpha = _require_number(values, "alpha")
     if case == "C":
         if mean_photon is None:
             raise ConfigError("field 'mean_photon': required for case C")
@@ -130,7 +132,7 @@ def parse_config(source) -> ScenarioConfig:
     elif alpha is not None:
         raise ConfigError(f"field 'alpha': not valid for case {case}")
 
-    t_max = _require_number(values, "t_max") if "t_max" in values else 2.0 * math.pi
+    t_max = _require_number(values, "t_max", 2.0 * math.pi)
     if t_max <= 0:
         raise ConfigError(f"field 't_max': must be > 0, got {t_max}")
     n_points = _require_int(values, "n_points", 401)
@@ -155,13 +157,12 @@ def parse_config(source) -> ScenarioConfig:
     oracle_compare = values.get("oracle_compare", False)
     if not isinstance(oracle_compare, bool):
         raise ConfigError(f"field 'oracle_compare': expected a boolean, got {oracle_compare!r}")
-    freq = (
-        _require_number(values, "oracle_case_b_frequency")
-        if "oracle_case_b_frequency" in values
-        else oracle.CASE_B_RATE_ENGINE
-    )
+    freq = _require_number(values, "oracle_case_b_frequency", oracle.CASE_B_RATE_ENGINE)
     if freq <= 0:
         raise ConfigError(f"field 'oracle_case_b_frequency': must be > 0, got {freq}")
+    # every run evaluates the closed forms, whose largest phase is 4 * max(1, freq) * t_max
+    if not math.isfinite(4.0 * max(1.0, freq) * t_max):
+        raise ConfigError("fields 't_max', 'oracle_case_b_frequency': closed-form phase overflows")
     output_prefix = str(values.get("output_prefix", "scenario"))
 
     return ScenarioConfig(
@@ -198,49 +199,66 @@ class ScenarioResult:
 
     `values` holds one row per grid time and one column per name in
     `columns`: the CSV columns, with `N_tot_inf` present for case A only.
-    `reduced_errors` holds the max-abs error of the reduced atom and field
-    states against their closed forms, or None where no closed form applies.
+    `oracle_errors` holds the max-abs error of each quantity that has a
+    closed form against it: CSV columns in cases A and B, the reduced atom
+    and field states in cases C and D at `field_dim` 3, nothing otherwise.
     """
 
     columns: tuple[str, ...]
     values: np.ndarray
-    reduced_errors: dict[str, float] | None
+    oracle_errors: dict[str, float]
 
     def column(self, name: str) -> np.ndarray:
         return self.values[:, self.columns.index(name)]
 
 
-def _reduced_closed_form(cfg: ScenarioConfig):
-    """T -> (atom, field) closed-form stacks, or None where none applies.
+def _closed_forms(cfg: ScenarioConfig):
+    """T -> {quantity name: closed-form value}, or None where none applies.
 
-    The closed forms describe a three-level field in cases C and D.
+    Names are CSV columns in cases A and B, and `atom_reduced`/
+    `field_reduced` in cases C and D, whose closed forms describe a
+    three-level field.
     """
-    if cfg.case not in ("C", "D") or cfg.field_dim != 3:
+    if cfg.case == "A":
+        def closed(T):
+            o = oracle.case_a(T)
+            return {"N_c": o.N_c, "N_f": o.N_f, "N_a": o.N_a, "N_tot_1": o.N_tot1,
+                    "res_f_2": 2.0 * o.N_f1, "res_a_2": 2.0 * o.N_a1, "N_tot_2": o.N_tot2,
+                    "N_tot_inf": o.N_totInf}
+        return closed
+    if cfg.case == "B":
+        def closed(T):
+            o = oracle.case_b(T, cfg.oracle_case_b_frequency)
+            return {"N_c": o.N_c, "N_a": o.N_a}
+        return closed
+    if cfg.field_dim != 3:
         return None
     if cfg.case == "C":
         w = np.real(np.diag(engine.truncated_thermal(cfg.mean_photon, 3).matrix))
-        return lambda T: oracle.case_c_reduced(T, float(w[0]), float(w[1]))
-    # initial_state has already warned about any truncation loss
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
-        c = np.real(engine.truncated_coherent(cfg.alpha, 3).amplitudes)
-    return lambda T: oracle.case_d_reduced(T, float(c[0]), float(c[1]))
+        reduced = lambda T: oracle.case_c_reduced(T, float(w[0]), float(w[1]))
+    else:
+        # initial_state has already warned about any truncation loss
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            c = np.real(engine.truncated_coherent(cfg.alpha, 3).amplitudes)
+        reduced = lambda T: oracle.case_d_reduced(T, float(c[0]), float(c[1]))
+    return lambda T: dict(zip(("atom_reduced", "field_reduced"), reduced(T)))
 
 
 def run_scenario(cfg: ScenarioConfig) -> ScenarioResult:
     """Evolve, reduce, and measure the scenario at every grid time.
 
     The grid is walked once, in time chunks; each stage is one batched call
-    per chunk. Where a closed form applies, the chunk's reduced states are
-    checked against it on the way.
+    per chunk. Each chunk's quantities are named once, and those with a
+    closed form are checked against it on the way.
     """
     columns = csv_columns(cfg.layers)
     if cfg.case != "A":
         columns.remove("N_tot_inf")
     times = time_grid(cfg)
     values = np.empty((len(times), len(columns)))
-    closed = _reduced_closed_form(cfg)
-    err_a = err_f = 0.0
+    closed = _closed_forms(cfg)
+    errors: dict[str, float] = {}
     rho0 = engine.initial_state(
         engine.ScenarioCase(cfg.case, cfg.mean_photon, cfg.alpha), cfg.field_dim
     )
@@ -252,22 +270,23 @@ def run_scenario(cfg: ScenarioConfig) -> ScenarioResult:
         N_c = negativity(rho, engine.ATOM)
         field_rep = cascade(rho_f, cfg.layers)
         atom_rep = cascade(rho_a, cfg.layers)
-        totals = [
-            total_nonclassicality(N_c, field_rep, atom_rep, layer)
-            for layer in range(1, cfg.layers + 1)
-        ]
         f_sums, a_sums = field_rep.layer_sums, atom_rep.layer_sums
-        n_inf = [extrapolate_total(N_c, f_sums[0], a_sums[0])] if cfg.case == "A" else []
-        values[start:start + step] = np.stack(
-            [ts, N_c, f_sums[0], a_sums[0], *f_sums[1:], *a_sums[1:], *totals, *n_inf,
-             l1_coherence(rho_a), l1_coherence(rho_f)],
-            axis=-1,
-        )
+        q = {"T": ts, "N_c": N_c, "N_f": f_sums[0], "N_a": a_sums[0]}
+        q |= {f"res_f_{n}": s for n, s in enumerate(f_sums[1:], 2)}
+        q |= {f"res_a_{n}": s for n, s in enumerate(a_sums[1:], 2)}
+        q |= {
+            f"N_tot_{n}": total_nonclassicality(N_c, field_rep, atom_rep, n)
+            for n in range(1, cfg.layers + 1)
+        }
+        q["N_tot_inf"] = extrapolate_total(N_c, f_sums[0], a_sums[0])
+        q["coh_a"], q["coh_f"] = l1_coherence(rho_a), l1_coherence(rho_f)
+        q["atom_reduced"], q["field_reduced"] = rho_a.matrix, rho_f.matrix
+        values[start:start + step] = np.stack([q[c] for c in columns], axis=-1)
         if closed is not None:
-            atom_o, field_o = closed(ts)
-            err_a = max(err_a, float(np.max(np.abs(rho_a.matrix - atom_o))))
-            err_f = max(err_f, float(np.max(np.abs(rho_f.matrix - field_o))))
-    errors = None if closed is None else {"atom_reduced": err_a, "field_reduced": err_f}
+            for name, want in closed(ts).items():
+                if name in q:
+                    err = float(np.max(np.abs(q[name] - want)))
+                    errors[name] = max(errors.get(name, 0.0), err)
     return ScenarioResult(tuple(columns), values, errors)
 
 
@@ -323,65 +342,28 @@ def write_outputs(result: ScenarioResult, cfg: ScenarioConfig, runtime: float = 
 
 
 def compare_with_oracle(result: ScenarioResult, cfg: ScenarioConfig) -> dict:
-    """Per-quantity max-abs-error of the engine against the closed forms."""
-    quantities: dict[str, dict] = {}
-    engine_only: list[str] = []
+    """Report the max-abs errors against the closed forms that the run kept."""
+    tol = ORACLE_TOL_EXACT if cfg.case in ("A", "B") else ORACLE_TOL_REDUCED
+    errors = result.oracle_errors
+    quantities = {
+        name: {"max_abs_error": err, "tolerance": tol, "flagged": not err <= tol}
+        for name, err in errors.items()
+    }
+    engine_only = [name for name in result.columns if name != "T" and name not in errors]
     notes: list[str] = []
-
-    def add(name: str, err: float, tol: float):
-        quantities[name] = {
-            "max_abs_error": err,
-            "tolerance": tol,
-            "flagged": err > tol,
-        }
-
-    def add_columns(closed: dict[str, list[float]]):
-        for name, want in closed.items():
-            err = float(np.max(np.abs(result.column(name) - np.array(want))))
-            add(name, err, ORACLE_TOL_EXACT)
-
-    times = result.column("T").tolist()
-    if cfg.case == "A":
-        recs = [oracle.case_a(T) for T in times]
-        closed = {
-            "N_c": [o.N_c for o in recs],
-            "N_f": [o.N_f for o in recs],
-            "N_a": [o.N_a for o in recs],
-            "N_tot_1": [o.N_tot1 for o in recs],
-        }
-        if cfg.layers >= 2:
-            closed["res_f_2"] = [2.0 * o.N_f1 for o in recs]
-            closed["res_a_2"] = [2.0 * o.N_a1 for o in recs]
-            closed["N_tot_2"] = [o.N_tot2 for o in recs]
-        closed["N_tot_inf"] = [o.N_totInf for o in recs]
-        add_columns(closed)
-        engine_only += [f"res_f_{n}" for n in range(3, cfg.layers + 1)]
-        engine_only += [f"res_a_{n}" for n in range(3, cfg.layers + 1)]
-        engine_only += [f"N_tot_{n}" for n in range(3, cfg.layers + 1)]
-    elif cfg.case == "B":
-        freq = cfg.oracle_case_b_frequency
-        recs = [oracle.case_b(T, freq) for T in times]
-        add_columns({"N_c": [o.N_c for o in recs], "N_a": [o.N_a for o in recs]})
-        engine_only.append("N_f")  # no closed form published
-        if abs(freq - oracle.CASE_B_RATE_ENGINE) > 1e-12:
-            notes.append(
-                f"as-printed paper formula: oracle frequency {freq:.12g} differs "
-                f"from the engine doublet rate sqrt(2); mismatches are expected"
-            )
-    else:
-        if result.reduced_errors is None:
-            engine_only += ["atom_reduced", "field_reduced"]
-            notes.append(
-                f"the closed-form reduced matrices describe a three-level field; "
-                f"at field_dim {cfg.field_dim} the truncated state also populates "
-                f"higher levels, so atom_reduced and field_reduced are not compared"
-            )
-        else:
-            for name, err in result.reduced_errors.items():
-                add(name, err, ORACLE_TOL_REDUCED)
-        engine_only += ["N_c", "N_f", "N_a"]
-        engine_only += [f"res_f_{n}" for n in range(2, cfg.layers + 1)]
-        engine_only += [f"res_a_{n}" for n in range(2, cfg.layers + 1)]
+    freq = cfg.oracle_case_b_frequency
+    if cfg.case == "B" and abs(freq - oracle.CASE_B_RATE_ENGINE) > 1e-12:
+        notes.append(
+            f"as-printed paper formula: oracle frequency {freq:.12g} differs "
+            f"from the engine doublet rate sqrt(2); mismatches are expected"
+        )
+    if cfg.case in ("C", "D") and "atom_reduced" not in errors:
+        engine_only += ["atom_reduced", "field_reduced"]
+        notes.append(
+            f"the closed-form reduced matrices describe a three-level field; "
+            f"at field_dim {cfg.field_dim} the truncated state also populates "
+            f"higher levels, so atom_reduced and field_reduced are not compared"
+        )
     return {
         "case": cfg.case,
         "quantities": quantities,
@@ -437,10 +419,8 @@ def main(argv=None) -> int:
             if not isinstance(parsed, dict):
                 raise ConfigError("config document must be a JSON object")
             values.update(parsed)
-        for key in _CONFIG_KEYS:
-            v = getattr(args, key, None)
-            if v is not None:
-                values[key] = v
+        flags = vars(args)
+        values.update((k, flags[k]) for k in _CONFIG_KEYS if flags[k] is not None)
         cfg = parse_config(values)
     except (ConfigError, json.JSONDecodeError, ValueError) as exc:
         print(f"config error: {exc}", file=sys.stderr)

@@ -20,6 +20,7 @@ from .hilbert import (
     DimensionError,
     ModeLayout,
     ShapeError,
+    StateValidationError,
     StateVector,
     annihilation,
     dagger,
@@ -34,7 +35,6 @@ ATOM = "a"
 
 SIGMA_PLUS = np.array([[0, 0], [1, 0]], dtype=complex)   # |1><0| (ground=index 0)
 SIGMA_MINUS = SIGMA_PLUS.conj().T
-SIGMA_3 = np.diag([-1.0, 1.0]).astype(complex)
 EXCITED_PROJECTOR = np.diag([0.0, 1.0]).astype(complex)
 
 COHERENT_TAIL_TOL = 1e-3
@@ -141,10 +141,13 @@ def truncated_coherent(alpha: complex, d: int) -> StateVector:
     forms alpha^n or n! and so stays finite at any dimension.
     """
     c = np.zeros(d, dtype=complex)
-    c[0] = np.exp(-abs(alpha) ** 2 / 2)
+    # e^{-|alpha|^2/2} is exactly 0.0 beyond |alpha| = 40, where |alpha|^2 may overflow
+    c[0] = np.exp(-abs(alpha) ** 2 / 2) if abs(alpha) < 40 else 0.0
     for n in range(1, d - 1):
         c[n] = c[n - 1] * alpha / math.sqrt(n)
     norm = np.linalg.norm(c)
+    if not norm > 0:
+        raise StateValidationError(f"coherent state alpha={alpha} has no weight in dim {d}")
     tail = 1.0 - norm**2
     if tail > COHERENT_TAIL_TOL:
         warnings.warn(
@@ -161,20 +164,14 @@ def initial_state(case: ScenarioCase, d: int) -> DensityOperator:
     if case.case == "A":
         vec = tensor([fock(0, d), fock(1, 2)])
         return StateVector(layout, vec).density()
+    if d < 3:
+        raise DimensionError(f"case {case.case} needs field_dim >= 3, got {d}")
     if case.case == "B":
-        if d < 3:
-            raise DimensionError(f"case B needs field_dim >= 3, got {d}")
         vec = tensor([fock(2, d), fock(0, 2)])
         return StateVector(layout, vec).density()
     if case.case == "C":
-        if d < 3:
-            raise DimensionError(f"case C needs field_dim >= 3, got {d}")
         field = truncated_thermal(case.mean_photon, d)
-        excited = np.zeros((2, 2), dtype=complex)
-        excited[1, 1] = 1.0
-        return DensityOperator(layout, tensor([field.matrix, excited]))
-    if d < 3:
-        raise DimensionError(f"case D needs field_dim >= 3, got {d}")
+        return DensityOperator(layout, tensor([field.matrix, EXCITED_PROJECTOR]))
     field = truncated_coherent(case.alpha, d)
     vec = tensor([field.amplitudes, fock(1, 2)])
     return StateVector(layout, vec).density()

@@ -102,7 +102,7 @@ class StateVector:
             raise ShapeError(
                 f"amplitude length {amps.size} != layout dim {self.layout.dim}"
             )
-        if abs(np.linalg.norm(amps) - 1.0) > 1e-12:
+        if not abs(np.linalg.norm(amps) - 1.0) <= 1e-12:
             raise StateValidationError(
                 f"state norm {np.linalg.norm(amps)} deviates from 1 beyond 1e-12"
             )
@@ -130,15 +130,15 @@ class DensityOperator:
         if m.shape[-2:] != (d, d):
             raise ShapeError(f"matrix shape {m.shape} != (..., {d}, {d})")
         diag = density_diagnostics(m, PSD_TOL)
-        if diag.hermiticity_deviation > HERMITICITY_TOL:
+        if not diag.hermiticity_deviation <= HERMITICITY_TOL:
             raise StateValidationError(
                 f"hermiticity deviation {diag.hermiticity_deviation:.3e} > {HERMITICITY_TOL}"
             )
-        if diag.trace_deviation > TRACE_TOL:
+        if not diag.trace_deviation <= TRACE_TOL:
             raise StateValidationError(
                 f"trace deviation {diag.trace_deviation:.3e} > {TRACE_TOL}"
             )
-        if diag.min_eigenvalue < -PSD_TOL:
+        if not diag.min_eigenvalue >= -PSD_TOL:
             raise StateValidationError(
                 f"most negative eigenvalue {diag.min_eigenvalue:.3e} < -{PSD_TOL}"
             )
@@ -247,7 +247,7 @@ def hermitian_eigenvalues(matrix: np.ndarray) -> np.ndarray:
     if m.ndim < 2 or m.shape[-1] != m.shape[-2]:
         raise ShapeError(f"expected a stack of square matrices, got shape {m.shape}")
     dev = float(np.max(np.abs(m - dagger(m)))) if m.size else 0.0
-    if dev > EIGH_HERMITICITY_TOL:
+    if not dev <= EIGH_HERMITICITY_TOL:
         raise ShapeError(f"hermiticity deviation {dev:.3e} > {EIGH_HERMITICITY_TOL}")
     return np.linalg.eigvalsh(m)
 
@@ -276,7 +276,9 @@ def density_diagnostics(rho, tol: float = PSD_TOL) -> DensityDiagnostics:
     m = np.asarray(rho.matrix if isinstance(rho, DensityOperator) else rho, dtype=complex)
     herm = float(np.max(np.abs(m - dagger(m))))
     trace_dev = float(np.max(np.abs(np.trace(m, axis1=-2, axis2=-1) - 1.0)))
-    # eigenvalues of the Hermitian part; meaningful once herm is small
-    min_eig = float(np.min(np.linalg.eigvalsh(0.5 * (m + dagger(m)))))
+    # eigenvalues of the Hermitian part; meaningful once herm is small, and
+    # skipped when herm is not finite, as eigvalsh may not converge on NaN
+    h = 0.5 * (m + dagger(m))
+    min_eig = float(np.min(np.linalg.eigvalsh(h))) if np.isfinite(herm) else np.nan
     ok = herm <= tol and trace_dev <= tol and min_eig >= -tol
     return DensityDiagnostics(herm, trace_dev, min_eig, tol, ok)

@@ -21,7 +21,7 @@ CASE_B_RATE_PRINTED = math.sqrt(3.0)  # as printed in the source formulas
 
 @dataclass(frozen=True)
 class OracleRecord:
-    """All closed-form case-A quantities at one time point."""
+    """All closed-form case-A quantities at a time, or over an array of times."""
 
     T: float
     N_c: float
@@ -38,7 +38,7 @@ class OracleRecord:
 
 @dataclass(frozen=True)
 class CaseBRecord:
-    """Fock-case correlation and atom negativity at one time point."""
+    """Fock-case correlation and atom negativity, at a time or over an array of times."""
 
     T: float
     omega_b: float
@@ -46,30 +46,33 @@ class CaseBRecord:
     N_a: float
 
 
-def chi(T: float) -> float:
-    """chi(T) = (1/4) sqrt(3 + cos 4T)."""
-    return 0.25 * math.sqrt(3.0 + math.cos(4.0 * T))
+def chi(T):
+    """chi(T) = (1/4) sqrt(3 + cos 4T), at a time or an array of times."""
+    return 0.25 * np.sqrt(3.0 + np.cos(4.0 * T))
 
 
-def xi(T: float) -> float:
-    """xi(T) = sqrt(11 + 4 cos 2T + cos 4T)."""
-    return math.sqrt(11.0 + 4.0 * math.cos(2.0 * T) + math.cos(4.0 * T))
+def xi(T):
+    """xi(T) = sqrt(11 + 4 cos 2T + cos 4T), at a time or an array of times."""
+    return np.sqrt(11.0 + 4.0 * np.cos(2.0 * T) + np.cos(4.0 * T))
 
 
-def _n_c(T: float) -> float:
-    return 0.5 * abs(math.sin(2.0 * T))
+def _n_c(T):
+    return 0.5 * np.abs(np.sin(2.0 * T))
 
 
-def _n_f(T: float) -> float:
-    return -0.25 * (1.0 + math.cos(2.0 * T) - math.sqrt(3.0 + math.cos(4.0 * T)))
+def _n_f(T):
+    return -0.25 * (1.0 + np.cos(2.0 * T) - np.sqrt(3.0 + np.cos(4.0 * T)))
 
 
-def _n_f1(T: float) -> float:
-    return -0.125 * (3.0 + math.cos(2.0 * T) - xi(T))
+def _n_f1(T):
+    return -0.125 * (3.0 + np.cos(2.0 * T) - xi(T))
 
 
-def case_a(T: float) -> OracleRecord:
-    """Closed-form negativities, residuals, and totals for the vacuum case."""
+def case_a(T) -> OracleRecord:
+    """Closed-form negativities, residuals, and totals for the vacuum case.
+
+    T is a time or an array of times; each field then holds one value per time.
+    """
     N_c = _n_c(T)
     N_f = _n_f(T)
     N_a = _n_f(T + math.pi / 2.0)
@@ -89,19 +92,18 @@ def case_a_reduced(T: float) -> tuple[np.ndarray, np.ndarray]:
     return field, atom
 
 
-def case_b(T: float, omega_b: float = CASE_B_RATE_ENGINE) -> CaseBRecord:
+def case_b(T, omega_b: float = CASE_B_RATE_ENGINE) -> CaseBRecord:
     """Fock-case correlation and atom negativity at doublet rate omega_b.
 
+    The case-A correlation and field negativity, evaluated at omega_b * T.
     The published formulas print sqrt(3); pass CASE_B_RATE_PRINTED to
     reproduce them as written, or the default sqrt(2) for the rate the
     truncated dynamics (and the companion reduced-state formulas) use.
+    T is a time or an array of times.
     """
     if omega_b <= 0:
         raise ValueError(f"omega_b must be > 0, got {omega_b}")
-    w = omega_b
-    N_c = 0.5 * abs(math.sin(2.0 * w * T))
-    N_a = -0.25 * (1.0 + math.cos(2.0 * w * T) - math.sqrt(3.0 + math.cos(4.0 * w * T)))
-    return CaseBRecord(T, omega_b, N_c, N_a)
+    return CaseBRecord(T, omega_b, _n_c(omega_b * T), _n_f(omega_b * T))
 
 
 def _diagonal(*entries) -> np.ndarray:

@@ -1,5 +1,6 @@
 import json
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -259,6 +260,47 @@ class TestCompareWithOracle:
         assert any("three-level field" in note for note in report["notes"])
         assert not report["any_flagged"]
 
+    @pytest.mark.parametrize(
+        "overrides, compared, engine_only",
+        [
+            (
+                {"layers": 3},
+                {"N_c", "N_f", "N_a", "res_f_2", "res_a_2", "N_tot_1", "N_tot_2", "N_tot_inf"},
+                ["res_f_3", "res_a_3", "N_tot_3", "coh_a", "coh_f"],
+            ),
+            ({"case": "B", "layers": 1}, {"N_c", "N_a"}, ["N_f", "N_tot_1", "coh_a", "coh_f"]),
+            (
+                {"case": "C", "mean_photon": 0.01, "layers": 1},
+                {"atom_reduced", "field_reduced"},
+                ["N_c", "N_f", "N_a", "N_tot_1", "coh_a", "coh_f"],
+            ),
+            (
+                {"case": "D", "alpha": 0.1, "field_dim": 4, "layers": 1},
+                set(),
+                ["N_c", "N_f", "N_a", "N_tot_1", "coh_a", "coh_f", "atom_reduced", "field_reduced"],
+            ),
+        ],
+        ids=["A", "B", "C", "D-dim-4"],
+    )
+    def test_report_only_formats_the_run_errors(
+        self, overrides, compared, engine_only, monkeypatch
+    ):
+        # the run checked every closed form; the report evaluates none
+        cfg = make_config(**overrides)
+        result = run_scenario(cfg)
+        assert set(result.oracle_errors) == compared
+        for name in ("case_a", "case_b", "case_c_reduced", "case_d_reduced", "chi", "xi"):
+            monkeypatch.setattr(oracle, name, lambda *a, **k: pytest.fail("oracle evaluated"))
+        report = compare_with_oracle(result, cfg)
+        assert set(report["quantities"]) == compared
+        assert report["engine_only"] == engine_only
+        assert not report["any_flagged"]
+
+    def test_nan_error_is_flagged(self):
+        cfg = make_config()
+        result = ScenarioResult(("T", "N_c"), np.zeros((2, 2)), {"N_c": math.nan})
+        assert compare_with_oracle(result, cfg)["quantities"]["N_c"]["flagged"]
+
     def test_oracle_check_shares_the_run_pass(self, tmp_path, monkeypatch):
         calls = []
         evolve = engine.evolve
@@ -319,10 +361,12 @@ class TestMain:
             ["--case", "B", "--oracle-case-b-frequency", "inf"],
             ["--case", "A", "--field-dim", "200"],
             ["--case", "D", "--alpha", "3", "--field-dim", "200"],
+            ["--case", "A", "--t-max", "5e307", "--oracle-compare"],
+            ["--case", "B", "--oracle-case-b-frequency", "1e308", "--oracle-compare"],
         ],
         ids=[
             "layers-7", "t-max-nan", "t-max-inf", "mean-photon-inf", "alpha-nan", "freq-inf",
-            "A-field-dim-200", "D-field-dim-200",
+            "A-field-dim-200", "D-field-dim-200", "A-phase-overflow", "B-phase-overflow",
         ],
     )
     def test_out_of_range_input_is_a_config_error(self, args, tmp_path, monkeypatch, capsys):
@@ -361,6 +405,16 @@ class TestMain:
         args = ["--case", "C", "--mean-photon", "0.01", "--n-points", "10000000000"]
         assert main(args + ["--output-prefix", str(tmp_path / "x")]) == 2
         assert "config error" in capsys.readouterr().err
+
+    def test_coherent_state_without_weight_is_a_numerical_failure(self, tmp_path, capsys):
+        # |alpha|^2 overflows a float; the state has no weight on the kept levels
+        args = ["--case", "D", "--alpha", "1e200", "--output-prefix", str(tmp_path / "x")]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(args) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("numerical validation failure") and err.count("\n") == 1
+        assert not (tmp_path / "x.csv").exists()
 
     def test_linalg_error_exit_code(self, tmp_path, monkeypatch, capsys):
         def fail(cfg):

@@ -63,6 +63,8 @@ class TestStateTypes:
     def test_norm_enforced(self):
         with pytest.raises(StateValidationError):
             StateVector(single_mode("f", 2), [1.0, 1.0])
+        with pytest.raises(StateValidationError):
+            StateVector(single_mode("f", 2), [np.nan, 0.0])
 
     def test_density_invariants(self):
         lay = single_mode("f", 2)
@@ -72,6 +74,9 @@ class TestStateTypes:
             DensityOperator(lay, np.array([[0.5, 0.3], [0.1, 0.5]]))
         with pytest.raises(StateValidationError):
             DensityOperator(lay, np.array([[1.2, 0.0], [0.0, -0.2]]))
+        for d in (2, 3):
+            with pytest.raises(StateValidationError):
+                DensityOperator(single_mode("f", d), np.full((d, d), np.nan))
 
     def test_shape_mismatch(self):
         with pytest.raises(ShapeError):
@@ -234,6 +239,8 @@ class TestHermitianEigenvalues:
     def test_rejects_non_hermitian(self):
         with pytest.raises(ShapeError):
             hermitian_eigenvalues(np.array([[0.0, 1.0], [0.0, 0.0]]))
+        with pytest.raises(ShapeError):
+            hermitian_eigenvalues(np.full((2, 2), np.nan))
 
     def test_sum_matches_trace(self):
         rng = np.random.default_rng(12)
@@ -351,6 +358,7 @@ class TestValidateDensity:
         diag = density_diagnostics(np.diag([0.6, 0.5]), tol=1e-9)
         assert abs(diag.trace_deviation - 0.1) < 1e-12
         assert not diag.ok
+        assert not density_diagnostics(np.full((3, 3), np.nan)).ok
 
     def test_accepts_density_operator(self):
         rng = np.random.default_rng(17)

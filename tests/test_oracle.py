@@ -179,18 +179,26 @@ class TestCaseDReduced:
             oracle.case_d_reduced(0.5, 0.9, 0.9)
 
 
+def case_a_values(rec):
+    return (rec.N_c, rec.N_f, rec.N_a, rec.N_f1, rec.N_a1, rec.N_tot1, rec.N_tot2,
+            rec.N_totInf, rec.chi, rec.xi)
+
+
 @pytest.mark.parametrize(
-    "closed_form, params",
+    "closed_form, params, values, shapes",
     [
-        (oracle.case_c_reduced, (0.9, 0.1)),
-        (oracle.case_d_reduced, (np.sqrt(0.97), np.sqrt(0.03))),
+        (oracle.case_a, (), case_a_values, [()] * 10),
+        (oracle.case_b, (oracle.CASE_B_RATE_PRINTED,), lambda rec: (rec.N_c, rec.N_a), [()] * 2),
+        (oracle.case_c_reduced, (0.9, 0.1), tuple, [(2, 2), (3, 3)]),
+        (oracle.case_d_reduced, (np.sqrt(0.97), np.sqrt(0.03)), tuple, [(2, 2), (3, 3)]),
     ],
-    ids=["case_c", "case_d"],
+    ids=["case_a", "case_b", "case_c", "case_d"],
 )
-def test_array_times_match_scalar_calls(closed_form, params):
-    atom, field = closed_form(GRID, *params)
-    scalar = [closed_form(float(T), *params) for T in GRID]
-    assert scalar[0][0].shape == (2, 2) and scalar[0][1].shape == (3, 3)
-    for stacked, per_time in ((atom, [s[0] for s in scalar]), (field, [s[1] for s in scalar])):
-        assert stacked.shape == (len(GRID),) + per_time[0].shape
+def test_array_times_match_scalar_calls(closed_form, params, values, shapes):
+    stacked_values = values(closed_form(GRID, *params))
+    scalar = [values(closed_form(float(T), *params)) for T in GRID]
+    assert [np.shape(v) for v in scalar[0]] == shapes
+    for k, stacked in enumerate(stacked_values):
+        per_time = [s[k] for s in scalar]
+        assert stacked.shape == (len(GRID),) + np.shape(per_time[0])
         assert np.max(np.abs(stacked - np.stack(per_time))) < 1e-15

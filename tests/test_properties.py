@@ -6,8 +6,15 @@ from hypothesis.extra import numpy as hnp
 from hypothesis import strategies as st
 
 from jcnc.engine import evolve, jc_layout
-from jcnc.hilbert import DensityOperator, ModeLayout, negativity, single_mode
-from jcnc.nonclassicality import cascade, total_nonclassicality
+from jcnc.hilbert import (
+    DensityOperator,
+    ModeLayout,
+    l1_coherence,
+    negativity,
+    partial_trace,
+    single_mode,
+)
+from jcnc.nonclassicality import bs_output, cascade, total_nonclassicality
 
 # the same examples on every run, and no example database on disk
 PROPERTY = settings(max_examples=50, deadline=None, derandomize=True, database=None)
@@ -36,6 +43,16 @@ def two_mode_states(draw):
     d_a, d_b = draw(DIM), draw(DIM)
     layout = ModeLayout((("A", d_a), ("B", d_b)))
     return DensityOperator(layout, draw(density_matrices(d_a * d_b)))
+
+
+@st.composite
+def two_mode_stacks(draw):
+    """A stack of random two-mode density operators over one or two batch axes."""
+    d_a, d_b = draw(DIM), draw(DIM)
+    batch = tuple(draw(st.lists(st.integers(1, 3), min_size=1, max_size=2)))
+    d = d_a * d_b
+    mats = [draw(density_matrices(d)) for _ in range(int(np.prod(batch)))]
+    return DensityOperator(ModeLayout((("A", d_a), ("B", d_b))), np.reshape(mats, batch + (d, d)))
 
 
 @PROPERTY
@@ -79,3 +96,18 @@ def test_evolve_group_property(m, t1, t2):
     stepped = evolve(evolve(rho0, t1), t2)
     direct = evolve(rho0, t1 + t2)
     assert np.max(np.abs(stepped.matrix - direct.matrix)) < 1e-12
+
+
+@PROPERTY
+@given(two_mode_stacks())
+def test_stacked_calls_equal_per_matrix_calls(stack):
+    neg, coh = negativity(stack, "B"), l1_coherence(stack)
+    reduced = partial_trace(stack, {"A"})
+    outputs = bs_output(reduced)
+    for idx in np.ndindex(stack.matrix.shape[:-2]):
+        rho = DensityOperator(stack.layout, stack.matrix[idx])
+        single = partial_trace(rho, {"A"})
+        assert abs(neg[idx] - negativity(rho, "B")) < 1e-12
+        assert abs(coh[idx] - l1_coherence(rho)) < 1e-12
+        assert np.max(np.abs(reduced.matrix[idx] - single.matrix)) < 1e-12
+        assert np.max(np.abs(outputs.matrix[idx] - bs_output(single).matrix)) < 1e-12
