@@ -32,16 +32,15 @@ EXIT_IO = 4
 ORACLE_TOL_EXACT = 1e-9      # cases A and B (closed forms are exact)
 ORACLE_TOL_REDUCED = 1e-8    # cases C and D (reduced-matrix transcriptions)
 
-# Byte budget of the largest stack of a time chunk, the deepest cascade
-# layer's beam-splitter outputs: 2^(layers-1) * field_dim^4 complex values
-# per time point. Larger chunks only raise peak memory; 64 KiB already
-# amortizes the per-call overhead.
+# Byte budget of the largest stack of a time chunk, a cascade layer's
+# beam-splitter outputs: field_dim^4 complex values per time point, at any
+# depth. Larger chunks only raise peak memory; 64 KiB already amortizes the
+# per-call overhead.
 CHUNK_BYTES = 64 * 1024
 
 # Largest single array a run allocates: the (n_points, n_columns) result
-# array, or one time point's deepest-layer beam-splitter outputs (a chunk
-# holds at least one point). A config above it is refused before anything
-# is allocated.
+# array, or one time point's beam-splitter output (a chunk holds at least
+# one point). A config above it is refused before anything is allocated.
 MAX_ARRAY_BYTES = 64 * 1024**2
 
 
@@ -141,11 +140,11 @@ def parse_config(source) -> ScenarioConfig:
     layers = _require_int(values, "layers", 2)
     if not 1 <= layers <= MAX_CASCADE_LAYERS:
         raise ConfigError(f"field 'layers': must be in [1, {MAX_CASCADE_LAYERS}], got {layers}")
-    if point_bytes(field_dim, layers) > MAX_ARRAY_BYTES:
+    if point_bytes(field_dim) > MAX_ARRAY_BYTES:
         raise ConfigError(
-            f"field 'field_dim': {field_dim} at {layers} layers needs "
-            f"{point_bytes(field_dim, layers)} bytes of beam-splitter output per "
-            f"time point, above the {MAX_ARRAY_BYTES}-byte limit"
+            f"field 'field_dim': {field_dim} needs {point_bytes(field_dim)} bytes "
+            f"of beam-splitter output per time point, above the "
+            f"{MAX_ARRAY_BYTES}-byte limit"
         )
     # the result array holds at most one float column per CSV column
     result_bytes = n_points * len(csv_columns(layers)) * np.dtype(float).itemsize
@@ -183,14 +182,14 @@ def time_grid(cfg: ScenarioConfig) -> np.ndarray:
     return np.linspace(0.0, cfg.t_max, cfg.n_points)
 
 
-def point_bytes(field_dim: int, layers: int) -> int:
-    """Bytes of one time point's deepest-layer beam-splitter outputs."""
-    return 2 ** (layers - 1) * field_dim**4 * np.dtype(complex).itemsize
+def point_bytes(field_dim: int) -> int:
+    """Bytes of one time point's beam-splitter output."""
+    return field_dim**4 * np.dtype(complex).itemsize
 
 
-def chunk_points(field_dim: int, layers: int) -> int:
+def chunk_points(field_dim: int) -> int:
     """Time points per chunk, so the chunk's largest stack fits CHUNK_BYTES."""
-    return max(1, CHUNK_BYTES // point_bytes(field_dim, layers))
+    return max(1, CHUNK_BYTES // point_bytes(field_dim))
 
 
 @dataclass(frozen=True)
@@ -262,7 +261,7 @@ def run_scenario(cfg: ScenarioConfig) -> ScenarioResult:
     rho0 = engine.initial_state(
         engine.ScenarioCase(cfg.case, cfg.mean_photon, cfg.alpha), cfg.field_dim
     )
-    step = chunk_points(cfg.field_dim, cfg.layers)
+    step = chunk_points(cfg.field_dim)
     for start in range(0, len(times), step):
         ts = times[start:start + step]
         rho = engine.evolve(rho0, ts)

@@ -127,8 +127,8 @@ def truncated_thermal(mean_photon: float, d: int) -> DensityOperator:
     """Thermal mixture truncated with the top Fock level kept but unpopulated."""
     if mean_photon <= 0:
         raise ValueError(f"mean_photon must be > 0, got {mean_photon}")
-    n = np.arange(d, dtype=float)
-    p = mean_photon ** n / (mean_photon + 1.0) ** (n + 1.0)
+    # the weights r^n with r = mean_photon / (mean_photon + 1) < 1 stay finite
+    p = (mean_photon / (mean_photon + 1.0)) ** np.arange(d, dtype=float)
     p[d - 1] = 0.0
     p /= p.sum()
     return DensityOperator(single_mode(FIELD, d), np.diag(p).astype(complex))

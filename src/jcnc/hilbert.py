@@ -5,8 +5,8 @@ operators, Kronecker composition, partial trace / partial transpose,
 Hermitian spectra, negativity, and l1-coherence. Everything is a pure
 function of immutable inputs. Matrices stay small (total dimension <~ 64)
 but come in stacks: operator arrays have shape (..., D, D), leading axes
-are batch axes (time points, cascade branches), and every function maps
-each matrix of a stack independently, with one numpy call per stack.
+are batch axes (time points), and every function maps each matrix of a
+stack independently, with one numpy call per stack.
 """
 
 from __future__ import annotations
@@ -143,18 +143,6 @@ class DensityOperator:
                 f"most negative eigenvalue {diag.min_eigenvalue:.3e} < -{PSD_TOL}"
             )
         object.__setattr__(self, "matrix", m)
-
-    @classmethod
-    def stack(cls, ops: Sequence["DensityOperator"]) -> "DensityOperator":
-        """Stack along a new batch axis just before the matrix axes, in the
-        first operator's layout; each matrix was validated already."""
-        dims = ops[0].layout.dims
-        if any(op.layout.dims != dims for op in ops):
-            raise ShapeError("stacked operators must share their mode dimensions")
-        rho = object.__new__(cls)
-        object.__setattr__(rho, "layout", ops[0].layout)
-        object.__setattr__(rho, "matrix", np.stack([op.matrix for op in ops], axis=-3))
-        return rho
 
 
 @dataclass(frozen=True)

@@ -4,9 +4,9 @@ A balanced beam splitter mixes a single-mode state with a vacuum ancilla of
 the same dimension; the negativity of the two-mode output quantifies the
 input's nonclassicality (its entanglement potential). Reduced single-mode
 outputs retain residual nonclassicality, which further beam-splitter layers
-deplete; the cascade tracks every branch independently and sums per-layer
-potentials into running totals. Every function acts on state stacks, so a
-cascade layer is one stack over (time points, branches).
+deplete; the cascade sums per-layer potentials into running totals. Every
+function acts on state stacks, so a cascade layer is one stack over time
+points.
 """
 
 from __future__ import annotations
@@ -72,60 +72,48 @@ def entanglement_potential(rho_mode: DensityOperator):
 
 @dataclass(frozen=True)
 class CascadeReport:
-    """Per-layer branch potentials for one subsystem's cascade.
+    """Per-layer potentials for one subsystem's cascade.
 
-    Layer n holds 2^(n-1) branch potentials along its last axis, after the
-    batch axes of the input stack; the children of branch i in layer n sit
-    at positions 2i and 2i+1 of layer n+1. Layer sums have the batch shape.
+    `potentials[n]` is the potential that each of layer n+1's 2^n branches
+    carries, and `layer_sums[n]` their sum; both have the batch shape of the
+    input stack.
     """
 
     subsystem: str
-    layers: tuple[np.ndarray, ...]
+    potentials: tuple[np.ndarray, ...]
     layer_sums: tuple[np.ndarray, ...]
-
-    def __post_init__(self):
-        for n, layer in enumerate(self.layers):
-            width = np.shape(layer)[-1]
-            if width != 2**n:
-                raise ValueError(f"layer {n + 1} has {width} entries, expected {2**n}")
 
 
 def cascade(rho_mode: DensityOperator, layers: int) -> CascadeReport:
     """Beam-splitter cascade on a single-mode state stack.
 
-    Each layer is one stack: one beam-splitter output per branch gives the
-    layer's potentials, and its two reduced states are the branch's
-    children in the next layer. Branches are computed independently, never
-    assumed symmetric.
+    Layer l has 2^(l-1) branches, and all of them carry one potential. Both
+    reduced outputs of a balanced splitter with a vacuum ancilla are the
+    same pure-loss channel at transmissivity 1/2, the ancilla's up to the
+    local phase rotation exp(-i pi n/2), which leaves the potential
+    unchanged. So each layer is one beam-splitter output, of the state
+    thinned by every layer before it, and its sum is 2^(l-1) times the
+    output's potential.
     """
     if layers < 1:
         raise ValueError(f"need at least one layer, got {layers}")
     if layers > MAX_CASCADE_LAYERS:
-        raise ValueError(
-            f"{layers} layers exceeds the {MAX_CASCADE_LAYERS}-layer guard "
-            f"(2^layers eigenproblems of size dim^2)"
-        )
-    batch = rho_mode.matrix.shape[:-2]
-    states = rho_mode
-    all_layers = []
+        raise ValueError(f"{layers} layers exceeds the {MAX_CASCADE_LAYERS}-layer guard")
+    state = rho_mode
+    potentials = []
     for depth in range(1, layers + 1):
-        out = bs_output(states)
-        all_layers.append(negativity(out, out.layout.labels[1]).reshape(batch + (-1,)))
-        if depth == layers:
-            break
-        # Each layer adds one branch axis of size 2 (mode kept, ancilla
-        # kept), so row-major branch order puts branch i's children at 2i
-        # and 2i+1.
-        states = DensityOperator.stack([partial_trace(out, {kept}) for kept in out.layout.labels])
-    # Python's sum adds the branches in order, elementwise over the batch
-    sums = tuple(sum(np.moveaxis(layer, -1, 0)) for layer in all_layers)
-    return CascadeReport(rho_mode.layout.labels[0], tuple(all_layers), sums)
+        out = bs_output(state)
+        potentials.append(negativity(out, out.layout.labels[1]))
+        if depth < layers:
+            state = partial_trace(out, {out.layout.labels[0]})
+    sums = tuple(2 ** n * p for n, p in enumerate(potentials))
+    return CascadeReport(rho_mode.layout.labels[0], tuple(potentials), sums)
 
 
 def total_nonclassicality(
     N_c: float, field_report: CascadeReport, atom_report: CascadeReport, layer: int
 ) -> float:
-    """Correlation negativity plus every branch potential through `layer`."""
+    """Correlation negativity plus every layer sum through `layer`."""
     if layer < 1:
         raise ValueError(f"layer must be >= 1, got {layer}")
     for report in (field_report, atom_report):
@@ -145,18 +133,11 @@ def extrapolate_total(N_c: float, N_f: float, N_a: float) -> float:
 
 
 def depletion_ratios(report: CascadeReport, floor: float = 1e-3) -> list[float]:
-    """Per-branch child/parent potential ratios where the parent exceeds floor,
-    for the report of a single state."""
-    if len(report.layers) < 2:
+    """Child/parent potential ratio of each layer pair whose parent exceeds
+    floor, for the report of a single state; every branch shares it."""
+    if len(report.potentials) < 2:
         raise ValueError("depletion ratios need at least two layers")
-    if np.ndim(report.layers[0]) != 1:
+    if np.ndim(report.potentials[0]) != 0:
         raise ValueError("depletion ratios need the report of a single state")
-    ratios = []
-    for n in range(len(report.layers) - 1):
-        parents = report.layers[n]
-        children = report.layers[n + 1]
-        for i, parent in enumerate(parents):
-            if parent > floor:
-                ratios.append(children[2 * i] / parent)
-                ratios.append(children[2 * i + 1] / parent)
-    return ratios
+    pairs = zip(report.potentials, report.potentials[1:])
+    return [child / parent for parent, child in pairs if parent > floor]

@@ -80,10 +80,11 @@ class TestParseConfig:
             parse_config('{"case": "B", "field_dim": 2}')
 
     def test_point_bytes_guard(self):
-        # 2^(layers-1) * field_dim^4 complex values per time point
-        assert cli.point_bytes(200, 2) == 2 * 200**4 * 16
-        largest = int((cli.MAX_ARRAY_BYTES / 16) ** 0.25)   # at one layer
+        # field_dim^4 complex values per time point, at any depth
+        assert cli.point_bytes(200) == 200**4 * 16
+        largest = int((cli.MAX_ARRAY_BYTES / 16) ** 0.25)
         assert parse_config({"case": "A", "field_dim": largest, "layers": 1}).field_dim == largest
+        assert parse_config({"case": "A", "field_dim": largest, "layers": 6}).field_dim == largest
         with pytest.raises(ConfigError, match="field_dim"):
             parse_config({"case": "A", "field_dim": largest + 1, "layers": 1})
 
@@ -141,7 +142,7 @@ class TestRunScenario:
 
     def test_chunked_run_matches_per_point_calls(self):
         # a grid of three chunks against batch-of-one calls at every time
-        step = chunk_points(2, 6)
+        step = chunk_points(2)
         cfg = make_config(layers=6, n_points=2 * step + 3)
         result = run_scenario(cfg)
         grid = time_grid(cfg)
@@ -158,8 +159,8 @@ class TestRunScenario:
             want = (*reports[0].layer_sums, *reports[1].layer_sums)
             assert np.max(np.abs(np.subtract(got, want))) < 1e-12
             for stacked, single in zip(whole_grid, reports):
-                for layer_stack, layer in zip(stacked.layers, single.layers):
-                    assert layer.shape == layer_stack[k].shape
+                for layer_stack, layer in zip(stacked.potentials, single.potentials):
+                    assert np.shape(layer) == layer_stack[k].shape
                     assert np.max(np.abs(layer_stack[k] - layer)) < 1e-12
 
     def test_n_tot_inf_only_case_a(self):
@@ -231,7 +232,7 @@ class TestCompareWithOracle:
         assert any("as-printed" in note for note in report["notes"])
 
     def test_case_c_reduced_match(self):
-        n_points = 2 * chunk_points(3, 2) + 5   # three chunks
+        n_points = 2 * chunk_points(3) + 5   # three chunks
         cfg = make_config(case="C", mean_photon=0.01, n_points=n_points)
         report = compare_with_oracle(run_scenario(cfg), cfg)
         assert not report["any_flagged"]
@@ -310,7 +311,7 @@ class TestCompareWithOracle:
             return evolve(rho0, T)
 
         monkeypatch.setattr(engine, "evolve", counting_evolve)
-        n_points = 2 * chunk_points(3, 2) + 5   # three chunks
+        n_points = 2 * chunk_points(3) + 5   # three chunks
         args = ["--case", "C", "--mean-photon", "0.01", "--n-points", str(n_points)]
         prefix = str(tmp_path / "c")
         assert main(args + ["--oracle-compare", "--output-prefix", prefix]) == 0
@@ -415,6 +416,15 @@ class TestMain:
         err = capsys.readouterr().err
         assert err.startswith("numerical validation failure") and err.count("\n") == 1
         assert not (tmp_path / "x.csv").exists()
+
+    def test_huge_mean_photon_runs_the_flat_thermal_state(self, tmp_path):
+        # at T = 0 the field is diag(1/2, 1/2, 0), whose potential is (sqrt 2 - 1)/4
+        prefix = str(tmp_path / "x")
+        args = ["--case", "C", "--mean-photon", "1e308", "--n-points", "5"]
+        assert main(args + ["--output-prefix", prefix]) == 0
+        header, first = open(prefix + ".csv").read().splitlines()[:2]
+        N_f = float(first.split(",")[header.split(",").index("N_f")])
+        assert abs(N_f - (math.sqrt(2) - 1) / 4) < 1e-12
 
     def test_linalg_error_exit_code(self, tmp_path, monkeypatch, capsys):
         def fail(cfg):

@@ -211,6 +211,11 @@ class TestTruncatedThermal:
         with pytest.raises(ValueError):
             truncated_thermal(0.0, 3)
 
+    def test_huge_mean_is_flat(self):
+        # (mean + 1)^(n + 1) overflows here, r = mean / (mean + 1) does not
+        p = np.diag(truncated_thermal(1e155, 3).matrix).real
+        assert np.max(np.abs(p - [0.5, 0.5, 0.0])) < 1e-15
+
 
 class TestTruncatedCoherent:
     @pytest.mark.filterwarnings("ignore")   # the larger alphas lose norm at small d

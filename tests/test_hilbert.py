@@ -90,16 +90,6 @@ class TestStateTypes:
         with pytest.raises(StateValidationError, match="eigenvalue"):
             DensityOperator(lay, stack)
 
-    def test_stack_of_validated_operators(self):
-        rng = np.random.default_rng(18)
-        ops = [random_density(rng, single_mode(lbl, 3)) for lbl in ("f", "f0")]
-        stacked = DensityOperator.stack(ops)
-        assert stacked.layout == ops[0].layout
-        assert stacked.matrix.shape == (2, 3, 3)
-        assert np.array_equal(stacked.matrix[1], ops[1].matrix)
-        with pytest.raises(ShapeError):
-            DensityOperator.stack([ops[0], random_density(rng, single_mode("g", 2))])
-
 
 class TestAnnihilation:
     def test_d2(self):

@@ -11,7 +11,6 @@ from jcnc.hilbert import (
     tensor,
 )
 from jcnc.nonclassicality import (
-    CascadeReport,
     beam_splitter_unitary,
     bs_output,
     cascade,
@@ -20,6 +19,8 @@ from jcnc.nonclassicality import (
     extrapolate_total,
     total_nonclassicality,
 )
+
+from cascade_tree import cascade_tree
 
 SQRT2 = np.sqrt(2.0)
 
@@ -163,36 +164,36 @@ class TestEntanglementPotential:
 class TestCascade:
     def test_layer_shapes(self):
         rep = cascade(case_a_field(0.6), 3)
-        assert [len(layer) for layer in rep.layers] == [1, 2, 4]
+        assert len(rep.potentials) == 3
         assert rep.subsystem == "f"
-        assert all(p >= 0 for layer in rep.layers for p in layer)
+        assert all(p >= 0 for p in rep.potentials)
+        tree = cascade_tree(case_a_field(0.6), 3)
+        assert [len(layer) for layer in tree] == [1, 2, 4]
 
     def test_closed_form_residual(self):
-        # both layer-2 branches equal -(1/8)(3 + cos 2T - xi(T))
+        # each layer-2 branch carries -(1/8)(3 + cos 2T - xi(T))
         for T in np.linspace(0.1, np.pi, 7):
             rep = cascade(case_a_field(T), 2)
             xi = np.sqrt(11 + 4 * np.cos(2 * T) + np.cos(4 * T))
             expected = -(3 + np.cos(2 * T) - xi) / 8
-            for p in rep.layers[1]:
-                assert abs(p - expected) < 1e-10
+            assert abs(rep.potentials[1] - expected) < 1e-10
 
     def test_vacuum_all_zero(self):
         rep = cascade(fock_state(0, 2), 3)
-        assert all(p == 0.0 for layer in rep.layers for p in layer)
+        assert all(p == 0.0 for p in rep.potentials)
 
     def test_half_pi_values(self):
         rep = cascade(case_a_field(np.pi / 2), 2)
-        assert abs(rep.layers[0][0] - 0.5) < 1e-10
-        for p in rep.layers[1]:
-            assert abs(p - (SQRT2 - 1) / 4) < 1e-10
+        assert abs(rep.potentials[0] - 0.5) < 1e-10
+        assert abs(rep.potentials[1] - (SQRT2 - 1) / 4) < 1e-10
 
     def test_branch_symmetry_fock_diagonal(self):
         # Fock-diagonal inputs give equal sibling potentials at every layer
         rng = np.random.default_rng(32)
         for _ in range(5):
             p = rng.uniform(size=3)
-            rep = cascade(mode_state(list(p / p.sum())), 3)
-            for layer in rep.layers[1:]:
+            tree = cascade_tree(mode_state(list(p / p.sum())), 3)
+            for layer in tree[1:]:
                 for i in range(0, len(layer), 2):
                     assert abs(layer[i] - layer[i + 1]) < 1e-10
 
@@ -201,10 +202,6 @@ class TestCascade:
             cascade(case_a_field(0.3), 0)
         with pytest.raises(ValueError):
             cascade(case_a_field(0.3), 9)
-
-    def test_report_shape_validation(self):
-        with pytest.raises(ValueError):
-            CascadeReport("f", ((0.1,), (0.2,)), (0.1, 0.2))
 
 
 class TestAtomFieldDuality:
@@ -266,7 +263,7 @@ class TestExtrapolation:
 class TestDepletionRatios:
     def test_half_pi(self):
         ratios = depletion_ratios(cascade(case_a_field(np.pi / 2), 2))
-        assert len(ratios) == 2
+        assert len(ratios) == 1
         for r in ratios:
             assert abs(r - (SQRT2 - 1) / 2) < 1e-3   # ~0.2071
 

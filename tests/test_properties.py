@@ -16,6 +16,8 @@ from jcnc.hilbert import (
 )
 from jcnc.nonclassicality import bs_output, cascade, total_nonclassicality
 
+from cascade_tree import cascade_tree
+
 # the same examples on every run, and no example database on disk
 PROPERTY = settings(max_examples=50, deadline=None, derandomize=True, database=None)
 
@@ -87,6 +89,18 @@ def test_totals_monotone_in_layers(field, atom, layers):
     totals = [total_nonclassicality(0.0, field_rep, atom_rep, n) for n in range(1, layers + 1)]
     assert totals[0] >= 0.0
     assert all(later >= earlier for earlier, later in zip(totals, totals[1:]))
+
+
+@PROPERTY
+@given(DIM.flatmap(lambda d: density_matrices(d)), st.integers(1, 4))
+def test_chain_equals_branch_tree(m, layers):
+    # every branch of a layer carries one potential, so one thinned state
+    # per layer gives the tree's layer sums
+    rho = DensityOperator(single_mode("f", len(m)), m)
+    tree = cascade_tree(rho, layers)
+    for chain_sum, layer in zip(cascade(rho, layers).layer_sums, tree, strict=True):
+        assert abs(chain_sum - np.sum(layer)) < 1e-14
+        assert np.max(layer) - np.min(layer) < 1e-14
 
 
 @PROPERTY
