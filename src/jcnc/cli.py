@@ -34,9 +34,9 @@ ORACLE_TOL_REDUCED = 1e-8    # cases C and D (reduced-matrix transcriptions)
 
 # Byte budget of the largest stack of a time chunk, a cascade layer's
 # beam-splitter outputs: field_dim^4 complex values per time point, at any
-# depth. Larger chunks only raise peak memory; 64 KiB already amortizes the
-# per-call overhead.
-CHUNK_BYTES = 64 * 1024
+# depth. Each chunk pays a fixed numpy dispatch cost per stage, which 64 KiB
+# (50 points at field_dim 3) did not amortize; 512 KiB raised peak memory.
+CHUNK_BYTES = 256 * 1024
 
 # Largest single array a run allocates: the (n_points, n_columns) result
 # array, or one time point's beam-splitter output (a chunk holds at least

@@ -25,6 +25,7 @@ from .hilbert import (
     annihilation,
     dagger,
     fock,
+    hermitian_eigensystem,
     partial_trace,
     single_mode,
     tensor,
@@ -75,15 +76,10 @@ def interaction_hamiltonian(d: int) -> np.ndarray:
     return np.kron(a, SIGMA_PLUS) + np.kron(a.conj().T, SIGMA_MINUS)
 
 
-def total_excitation(d: int) -> np.ndarray:
-    a = annihilation(d)
-    return np.kron(a.conj().T @ a, np.eye(2)) + np.kron(np.eye(d), EXCITED_PROJECTOR)
-
-
 @lru_cache(maxsize=None)
 def _hamiltonian_eig(d: int):
-    w, v = np.linalg.eigh(interaction_hamiltonian(d))
-    return w, v
+    # per excitation doublet, so exp(-i T H) is exactly zero between sectors
+    return hermitian_eigensystem(interaction_hamiltonian(d))
 
 
 def propagator(d: int, T) -> np.ndarray:

@@ -2,7 +2,8 @@
 
 Dense operators on tensor products of small mode spaces: truncated bosonic
 operators, Kronecker composition, partial trace / partial transpose,
-Hermitian spectra, negativity, and l1-coherence. Everything is a pure
+Hermitian spectra (solved per exact block of the nonzero pattern),
+negativity, and l1-coherence. Everything is a pure
 function of immutable inputs. Matrices stay small (total dimension <~ 64)
 but come in stacks: operator arrays have shape (..., D, D), leading axes
 are batch axes (time points), and every function maps each matrix of a
@@ -12,7 +13,7 @@ stack independently, with one numpy call per stack.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import reduce
+from functools import lru_cache, reduce
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -229,15 +230,101 @@ def partial_transpose(rho: DensityOperator, subsystem: str) -> np.ndarray:
     return t.reshape(rho.matrix.shape)
 
 
+@lru_cache(maxsize=64)
+def _block_groups(n: int, pattern: bytes) -> tuple[np.ndarray, ...]:
+    """Connected components of an n x n symmetric nonzero pattern (packed
+    bits), grouped by size: one (blocks, size) index array per size,
+    ascending."""
+    bits = np.unpackbits(np.frombuffer(pattern, dtype=np.uint8), count=n * n)
+    adjacent = bits.astype(bool).reshape(n, n)
+    label = np.arange(n)
+    # every index takes the smallest label among its neighbours until none
+    # changes, which leaves each component labelled by its smallest index
+    while True:
+        spread = np.minimum(label, np.min(np.where(adjacent, label, n), axis=1))
+        if np.array_equal(spread, label):
+            break
+        label = spread
+    components: dict[int, list[int]] = {}
+    for i, root in enumerate(label.tolist()):
+        components.setdefault(root, []).append(i)
+    by_size: dict[int, list[list[int]]] = {}
+    for members in components.values():
+        by_size.setdefault(len(members), []).append(members)
+    groups = tuple(np.array(by_size[size]) for size in sorted(by_size))
+    for idx in groups:
+        idx.setflags(write=False)
+    return groups
+
+
+def _blocks(h: np.ndarray) -> tuple[np.ndarray, ...]:
+    """Index groups of the exact blocks that every matrix of a stack shares:
+    the components of its nonzero pattern over all batch axes, with no
+    tolerance, so the stack is exactly block-diagonal on them."""
+    mask = np.any(h != 0, axis=tuple(range(h.ndim - 2)))
+    return _block_groups(h.shape[-1], np.packbits(mask | mask.T).tobytes())
+
+
+def _eigvalsh(h: np.ndarray) -> np.ndarray:
+    """Ascending spectra of a Hermitian stack, solved per exact block.
+
+    A block-diagonal matrix's spectrum is the union of its blocks' spectra.
+    Each group of equal-size blocks is one stack: size 1 is the real
+    diagonal, size 2 the closed form, larger sizes one eigvalsh call. A
+    dense stack is one block and one eigvalsh call on the whole stack.
+    """
+    groups = _blocks(h)
+    if len(groups) == 1 and len(groups[0]) == 1:
+        return np.linalg.eigvalsh(h)
+    batch = h.shape[:-2]
+    parts = []
+    for idx in groups:
+        blocks = h[..., idx[:, :, None], idx[:, None, :]]
+        if idx.shape[1] == 1:
+            ev = blocks[..., 0].real
+        elif idx.shape[1] == 2:
+            a, d = blocks[..., 0, 0].real, blocks[..., 1, 1].real
+            mean, radius = 0.5 * (a + d), np.hypot(0.5 * (a - d), np.abs(blocks[..., 1, 0]))
+            ev = np.stack([mean - radius, mean + radius], axis=-1)
+        else:
+            ev = np.linalg.eigvalsh(blocks)
+        parts.append(ev.reshape(batch + (idx.size,)))
+    return np.sort(np.concatenate(parts, axis=-1), axis=-1)
+
+
 def hermitian_eigenvalues(matrix: np.ndarray) -> np.ndarray:
-    """Ascending real spectra of a (..., n, n) stack of Hermitian matrices."""
+    """Ascending real spectra of a (..., n, n) stack of Hermitian matrices.
+
+    Solved per exact block of the stack's nonzero pattern.
+    """
     m = np.asarray(matrix, dtype=complex)
     if m.ndim < 2 or m.shape[-1] != m.shape[-2]:
         raise ShapeError(f"expected a stack of square matrices, got shape {m.shape}")
     dev = float(np.max(np.abs(m - dagger(m)))) if m.size else 0.0
     if not dev <= EIGH_HERMITICITY_TOL:
         raise ShapeError(f"hermiticity deviation {dev:.3e} > {EIGH_HERMITICITY_TOL}")
-    return np.linalg.eigvalsh(m)
+    return _eigvalsh(m)
+
+
+def hermitian_eigensystem(matrix: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Eigenvalues and orthonormal eigenvector columns of one Hermitian
+    matrix, solved per exact block, so each eigenvector is exactly zero
+    outside its block (a dense eigh may mix degenerate vectors across
+    blocks)."""
+    h = np.asarray(matrix, dtype=complex)
+    if h.ndim != 2 or h.shape[0] != h.shape[1]:
+        raise ShapeError(f"expected one square matrix, got shape {h.shape}")
+    n = h.shape[0]
+    w, v = np.empty(n), np.zeros((n, n), dtype=complex)
+    start = 0
+    for idx in _blocks(h):
+        k, size = idx.shape
+        cols = np.arange(start, start + k * size).reshape(k, size)
+        w[cols], v[idx[:, :, None], cols[:, None, :]] = np.linalg.eigh(
+            h[idx[:, :, None], idx[:, None, :]]
+        )
+        start += k * size
+    return w, v
 
 
 def negativity(rho: DensityOperator, subsystem: str):
@@ -254,8 +341,8 @@ def negativity(rho: DensityOperator, subsystem: str):
 def l1_coherence(rho: DensityOperator):
     """Sum of absolute off-diagonal entries in the computational basis, per
     matrix of the stack."""
-    m = np.abs(rho.matrix)
-    return (np.sum(m, axis=(-2, -1)) - np.trace(m, axis1=-2, axis2=-1))[()]
+    n = rho.layout.dim
+    return np.sum(np.abs(rho.matrix[..., ~np.eye(n, dtype=bool)]), axis=-1)[()]
 
 
 def density_diagnostics(rho, tol: float = PSD_TOL) -> DensityDiagnostics:
@@ -267,6 +354,6 @@ def density_diagnostics(rho, tol: float = PSD_TOL) -> DensityDiagnostics:
     # eigenvalues of the Hermitian part; meaningful once herm is small, and
     # skipped when herm is not finite, as eigvalsh may not converge on NaN
     h = 0.5 * (m + dagger(m))
-    min_eig = float(np.min(np.linalg.eigvalsh(h))) if np.isfinite(herm) else np.nan
+    min_eig = float(np.min(_eigvalsh(h))) if np.isfinite(herm) else np.nan
     ok = herm <= tol and trace_dev <= tol and min_eig >= -tol
     return DensityDiagnostics(herm, trace_dev, min_eig, tol, ok)

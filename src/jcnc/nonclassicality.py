@@ -22,6 +22,7 @@ from .hilbert import (
     ModeLayout,
     annihilation,
     dagger,
+    hermitian_eigensystem,
     negativity,
     partial_trace,
 )
@@ -38,14 +39,16 @@ def beam_splitter_unitary(d: int) -> np.ndarray:
     """exp(-i (pi/4) (a^dag b + a b^dag)) on mode (x) ancilla, both dim d.
 
     The generator commutes with total photon number, so vacuum-ancilla
-    inputs never overflow the truncation. Sign convention:
+    inputs never overflow the truncation. Its eigenvectors are solved per
+    photon-number block, so the unitary is exactly zero between different
+    total photon numbers. Sign convention:
     |1,0> -> (|1,0> - i|0,1>)/sqrt(2), vacuum fixed.
     """
     if d < 2:
         raise DimensionError(f"beam splitter needs dim >= 2, got {d}")
     a = annihilation(d)
     gen = np.kron(a.conj().T, a) + np.kron(a, a.conj().T)
-    w, v = np.linalg.eigh(gen)
+    w, v = hermitian_eigensystem(gen)
     u = (v * np.exp(-1j * (np.pi / 4) * w)) @ v.conj().T
     u.setflags(write=False)
     return u

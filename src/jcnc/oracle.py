@@ -84,14 +84,6 @@ def case_a(T) -> OracleRecord:
     return OracleRecord(T, N_c, N_f, N_a, N_f1, N_a1, N_tot1, N_tot2, N_totInf, chi(T), xi(T))
 
 
-def case_a_reduced(T: float) -> tuple[np.ndarray, np.ndarray]:
-    """(field, atom) reduced 2x2 matrices for the vacuum case."""
-    c2, s2 = math.cos(T) ** 2, math.sin(T) ** 2
-    field = np.diag([c2, s2]).astype(complex)
-    atom = np.diag([s2, c2]).astype(complex)
-    return field, atom
-
-
 def case_b(T, omega_b: float = CASE_B_RATE_ENGINE) -> CaseBRecord:
     """Fock-case correlation and atom negativity at doublet rate omega_b.
 

@@ -1,10 +1,15 @@
 import json
 import math
+import os
+import subprocess
+import sys
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import jcnc
 from jcnc import cli, engine, oracle
 from jcnc.cli import (
     ConfigError,
@@ -135,6 +140,12 @@ class TestRunScenario:
             result = run_scenario(make_config(n_points=9, **kwargs))
             assert np.all(result.column("coh_a") < 1e-12)
             assert np.all(result.column("coh_f") < 1e-12)
+
+    def test_coherence_exactly_zero_for_a_diagonal_field(self):
+        # the field keeps no Fock coherence, so no rounding may show as one
+        result = run_scenario(make_config(case="C", field_dim=6, mean_photon=0.3, n_points=401))
+        assert np.all(result.column("coh_a") == 0.0)
+        assert np.all(result.column("coh_f") == 0.0)
 
     def test_case_d_coherence_positive(self):
         cfg = make_config(case="D", alpha=0.1, t_max=math.pi, n_points=5)
@@ -441,3 +452,14 @@ class TestMain:
         prefix = str(tmp_path / "no_dir" / "x")
         code = main(["--case", "A", "--n-points", "3", "--output-prefix", prefix])
         assert code == 4
+
+
+def test_cli_import_loads_no_scipy():
+    # every fresh process pays for what importing the CLI loads
+    code = "import sys, jcnc.cli; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+    env = dict(os.environ, PYTHONPATH=str(Path(jcnc.__file__).parents[1]))
+    done = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=60
+    )
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.strip() == "[]"

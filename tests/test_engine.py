@@ -6,6 +6,7 @@ import pytest
 
 from jcnc.engine import (
     ATOM,
+    EXCITED_PROJECTOR,
     FIELD,
     ScenarioCase,
     evolve,
@@ -15,7 +16,6 @@ from jcnc.engine import (
     propagator,
     reduced_states,
     sector_evolution,
-    total_excitation,
     truncated_coherent,
     truncated_thermal,
 )
@@ -24,6 +24,7 @@ from jcnc.hilbert import (
     DimensionError,
     ShapeError,
     StateVector,
+    annihilation,
     density_diagnostics,
     fock,
     single_mode,
@@ -33,6 +34,11 @@ from jcnc.hilbert import (
 
 def basis_state(nf, ma, d):
     return StateVector(jc_layout(d), tensor([fock(nf, d), fock(ma, 2)]))
+
+
+def total_excitation(d: int) -> np.ndarray:
+    a = annihilation(d)
+    return np.kron(a.conj().T @ a, np.eye(2)) + np.kron(np.eye(d), EXCITED_PROJECTOR)
 
 
 class TestHamiltonian:
@@ -120,6 +126,13 @@ class TestEvolve:
         for T in np.linspace(0, 2 * np.pi, 9):
             e = np.trace(n_op @ evolve(rho0, T).matrix).real
             assert abs(e - e0) < 1e-10
+
+    @pytest.mark.parametrize("d", range(2, 9))
+    def test_propagator_zero_between_excitation_sectors(self, d):
+        n = np.rint(np.real(np.diag(total_excitation(d))))
+        between = n[:, None] != n[None, :]
+        for T in (0.3, 1.7, 2 * np.pi):
+            assert np.all(propagator(d, T)[between] == 0.0)
 
     def test_case_a_period_pi(self):
         rho0 = initial_state(ScenarioCase("A"), 2)

