@@ -10,7 +10,6 @@ from .hilbert import (
     DensityOperator,
     ModeLayout,
     StateVector,
-    annihilation,
     hermitian_eigenvalues,
     l1_coherence,
     negativity,
@@ -22,15 +21,13 @@ from .engine import (
     ScenarioCase,
     evolve,
     initial_state,
-    interaction_hamiltonian,
     reduced_states,
-    sector_evolution,
     truncated_coherent,
     truncated_thermal,
 )
 from .nonclassicality import (
     CascadeReport,
-    beam_splitter_unitary,
+    beam_splitter_columns,
     bs_output,
     cascade,
     depletion_ratios,
@@ -44,7 +41,6 @@ __all__ = [
     "DensityOperator",
     "ModeLayout",
     "StateVector",
-    "annihilation",
     "hermitian_eigenvalues",
     "l1_coherence",
     "negativity",
@@ -54,13 +50,11 @@ __all__ = [
     "ScenarioCase",
     "evolve",
     "initial_state",
-    "interaction_hamiltonian",
     "reduced_states",
-    "sector_evolution",
     "truncated_coherent",
     "truncated_thermal",
     "CascadeReport",
-    "beam_splitter_unitary",
+    "beam_splitter_columns",
     "bs_output",
     "cascade",
     "depletion_ratios",

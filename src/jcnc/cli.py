@@ -162,7 +162,9 @@ def parse_config(source) -> ScenarioConfig:
     # every run evaluates the closed forms, whose largest phase is 4 * max(1, freq) * t_max
     if not math.isfinite(4.0 * max(1.0, freq) * t_max):
         raise ConfigError("fields 't_max', 'oracle_case_b_frequency': closed-form phase overflows")
-    output_prefix = str(values.get("output_prefix", "scenario"))
+    output_prefix = values.get("output_prefix", "scenario")
+    if not isinstance(output_prefix, str):
+        raise ConfigError(f"field 'output_prefix': expected a string, got {output_prefix!r}")
 
     return ScenarioConfig(
         case=case,

@@ -1,13 +1,13 @@
 """Finite-dimensional composite Hilbert-space kernel.
 
-Dense operators on tensor products of small mode spaces: truncated bosonic
-operators, Kronecker composition, partial trace / partial transpose,
-Hermitian spectra (solved per exact block of the nonzero pattern),
-negativity, and l1-coherence. Everything is a pure
-function of immutable inputs. Matrices stay small (total dimension <~ 64)
-but come in stacks: operator arrays have shape (..., D, D), leading axes
-are batch axes (time points), and every function maps each matrix of a
-stack independently, with one numpy call per stack.
+Dense operators on tensor products of small mode spaces: Fock vectors,
+Kronecker composition, partial trace / partial transpose, Hermitian
+spectra (solved per exact block of the nonzero pattern), negativity, and
+l1-coherence. Everything is a pure function of immutable inputs. Matrices
+stay small (total dimension <~ 64) but come in stacks: operator arrays
+have shape (..., D, D), leading axes are batch axes (time points), and
+every function maps each matrix of a stack independently, with one numpy
+call per stack.
 """
 
 from __future__ import annotations
@@ -158,13 +158,6 @@ class DensityDiagnostics:
     ok: bool
 
 
-def annihilation(d: int) -> np.ndarray:
-    """Truncated bosonic annihilation operator: (n-1, n) entry sqrt(n)."""
-    if d < 2:
-        raise DimensionError(f"annihilation needs dim >= 2, got {d}")
-    return np.diag(np.sqrt(np.arange(1, d)), 1).astype(complex)
-
-
 def fock(n: int, d: int) -> np.ndarray:
     """Fock basis vector |n> in dimension d."""
     if not 0 <= n < d:
@@ -304,27 +297,6 @@ def hermitian_eigenvalues(matrix: np.ndarray) -> np.ndarray:
     if not dev <= EIGH_HERMITICITY_TOL:
         raise ShapeError(f"hermiticity deviation {dev:.3e} > {EIGH_HERMITICITY_TOL}")
     return _eigvalsh(m)
-
-
-def hermitian_eigensystem(matrix: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Eigenvalues and orthonormal eigenvector columns of one Hermitian
-    matrix, solved per exact block, so each eigenvector is exactly zero
-    outside its block (a dense eigh may mix degenerate vectors across
-    blocks)."""
-    h = np.asarray(matrix, dtype=complex)
-    if h.ndim != 2 or h.shape[0] != h.shape[1]:
-        raise ShapeError(f"expected one square matrix, got shape {h.shape}")
-    n = h.shape[0]
-    w, v = np.empty(n), np.zeros((n, n), dtype=complex)
-    start = 0
-    for idx in _blocks(h):
-        k, size = idx.shape
-        cols = np.arange(start, start + k * size).reshape(k, size)
-        w[cols], v[idx[:, :, None], cols[:, None, :]] = np.linalg.eigh(
-            h[idx[:, :, None], idx[:, None, :]]
-        )
-        start += k * size
-    return w, v
 
 
 def negativity(rho: DensityOperator, subsystem: str):

@@ -11,6 +11,7 @@ points.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -20,9 +21,7 @@ from .hilbert import (
     DensityOperator,
     DimensionError,
     ModeLayout,
-    annihilation,
     dagger,
-    hermitian_eigensystem,
     negativity,
     partial_trace,
 )
@@ -35,23 +34,27 @@ DEPLETION_RATIO = 2.0 / 5.0
 
 
 @lru_cache(maxsize=None)
-def beam_splitter_unitary(d: int) -> np.ndarray:
-    """exp(-i (pi/4) (a^dag b + a b^dag)) on mode (x) ancilla, both dim d.
+def beam_splitter_columns(d: int) -> np.ndarray:
+    """Vacuum-ancilla columns of exp(-i (pi/4) (a^dag b + a b^dag)) on
+    mode (x) ancilla, both dim d: the d^2 x d matrix whose column n is the
+    image of |n, 0>, from its closed form
 
-    The generator commutes with total photon number, so vacuum-ancilla
-    inputs never overflow the truncation. Its eigenvectors are solved per
-    photon-number block, so the unitary is exactly zero between different
-    total photon numbers. Sign convention:
-    |1,0> -> (|1,0> - i|0,1>)/sqrt(2), vacuum fixed.
+        |n, 0> -> sum_k sqrt(C(n, k) / 2^n) (-i)^(n-k) |k, n-k>.
+
+    Photon number is conserved, so a vacuum ancilla never overflows the
+    truncation, and each column is exactly zero outside its photon number.
+    Sign convention: |1,0> -> (|1,0> - i|0,1>)/sqrt(2), vacuum fixed.
     """
     if d < 2:
         raise DimensionError(f"beam splitter needs dim >= 2, got {d}")
-    a = annihilation(d)
-    gen = np.kron(a.conj().T, a) + np.kron(a, a.conj().T)
-    w, v = hermitian_eigensystem(gen)
-    u = (v * np.exp(-1j * (np.pi / 4) * w)) @ v.conj().T
-    u.setflags(write=False)
-    return u
+    phase = (1, -1j, -1, 1j)   # (-i)^m by m mod 4, exactly
+    u0 = np.zeros((d, d, d), dtype=complex)   # (mode k, ancilla n-k, input n)
+    for n in range(d):
+        for k in range(n + 1):
+            u0[k, n - k, n] = math.sqrt(math.comb(n, k) / 2**n) * phase[(n - k) % 4]
+    u0 = u0.reshape(d * d, d)
+    u0.setflags(write=False)
+    return u0
 
 
 def bs_output(rho_mode: DensityOperator) -> DensityOperator:
@@ -60,7 +63,7 @@ def bs_output(rho_mode: DensityOperator) -> DensityOperator:
         raise DimensionError("bs_output expects a single-mode state")
     label, d = rho_mode.layout.subsystems[0]
     # the ancilla is vacuum, so only the unitary's columns |n, 0> act
-    u0 = beam_splitter_unitary(d)[:, ::d]
+    u0 = beam_splitter_columns(d)
     out = u0 @ rho_mode.matrix @ dagger(u0)
     out = 0.5 * (out + dagger(out))
     layout = ModeLayout(((label, d), (label + "0", d)))

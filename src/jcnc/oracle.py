@@ -23,7 +23,6 @@ CASE_B_RATE_PRINTED = math.sqrt(3.0)  # as printed in the source formulas
 class OracleRecord:
     """All closed-form case-A quantities at a time, or over an array of times."""
 
-    T: float
     N_c: float
     N_f: float
     N_a: float
@@ -32,16 +31,12 @@ class OracleRecord:
     N_tot1: float
     N_tot2: float
     N_totInf: float
-    chi: float
-    xi: float
 
 
 @dataclass(frozen=True)
 class CaseBRecord:
     """Fock-case correlation and atom negativity, at a time or over an array of times."""
 
-    T: float
-    omega_b: float
     N_c: float
     N_a: float
 
@@ -81,7 +76,7 @@ def case_a(T) -> OracleRecord:
     N_tot1 = N_c + N_f + N_a
     N_tot2 = N_tot1 + 2.0 * N_f1 + 2.0 * N_a1
     N_totInf = N_c + (N_f + N_a) / (1.0 - DEPLETION_RATIO)
-    return OracleRecord(T, N_c, N_f, N_a, N_f1, N_a1, N_tot1, N_tot2, N_totInf, chi(T), xi(T))
+    return OracleRecord(N_c, N_f, N_a, N_f1, N_a1, N_tot1, N_tot2, N_totInf)
 
 
 def case_b(T, omega_b: float = CASE_B_RATE_ENGINE) -> CaseBRecord:
@@ -95,7 +90,7 @@ def case_b(T, omega_b: float = CASE_B_RATE_ENGINE) -> CaseBRecord:
     """
     if omega_b <= 0:
         raise ValueError(f"omega_b must be > 0, got {omega_b}")
-    return CaseBRecord(T, omega_b, _n_c(omega_b * T), _n_f(omega_b * T))
+    return CaseBRecord(_n_c(omega_b * T), _n_f(omega_b * T))
 
 
 def _diagonal(*entries) -> np.ndarray:

@@ -151,8 +151,15 @@ class TestRunScenario:
         cfg = make_config(case="D", alpha=0.1, t_max=math.pi, n_points=5)
         assert run_scenario(cfg).column("coh_a")[1] > 1e-4   # T = pi/4
 
-    def test_chunked_run_matches_per_point_calls(self):
-        # a grid of three chunks against batch-of-one calls at every time
+    def test_case_d_atom_coherence_exactly_zero_at_t0(self):
+        # the propagator is exactly the identity at T = 0, where the atom is excited
+        cfg = make_config(case="D", alpha=0.1, n_points=5)
+        assert run_scenario(cfg).column("coh_a")[0] == 0.0
+
+    def test_chunked_run_matches_per_point_calls(self, monkeypatch):
+        # a grid of three chunks against batch-of-one calls at every time;
+        # small chunks keep the per-point calls few
+        monkeypatch.setattr(cli, "CHUNK_BYTES", 16 * 1024)
         step = chunk_points(2)
         cfg = make_config(layers=6, n_points=2 * step + 3)
         result = run_scenario(cfg)
@@ -386,6 +393,17 @@ class TestMain:
         monkeypatch.setattr(cli, "run_scenario", lambda cfg: pytest.fail("run started"))
         assert main(args + ["--n-points", "3", "--output-prefix", str(tmp_path / "x")]) == 2
         assert "config error" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("prefix", ["true", "7", '["x"]'], ids=["true", "number", "list"])
+    def test_non_string_output_prefix_is_a_config_error(
+        self, prefix, tmp_path, monkeypatch, capsys
+    ):
+        monkeypatch.chdir(tmp_path)
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text('{"case": "A", "n_points": 3, "output_prefix": ' + prefix + "}")
+        assert main(["--config", str(cfg_path)]) == 2
+        assert "output_prefix" in capsys.readouterr().err
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["cfg.json"]
 
     @pytest.mark.parametrize(
         "document",

@@ -6,16 +6,13 @@ import pytest
 
 from jcnc.engine import (
     ATOM,
-    EXCITED_PROJECTOR,
     FIELD,
     ScenarioCase,
     evolve,
     initial_state,
-    interaction_hamiltonian,
     jc_layout,
     propagator,
     reduced_states,
-    sector_evolution,
     truncated_coherent,
     truncated_thermal,
 )
@@ -24,21 +21,22 @@ from jcnc.hilbert import (
     DimensionError,
     ShapeError,
     StateVector,
-    annihilation,
     density_diagnostics,
     fock,
     single_mode,
     tensor,
 )
 
+from jc_operators import (
+    dense_propagator,
+    interaction_hamiltonian,
+    sector_evolution,
+    total_excitation,
+)
+
 
 def basis_state(nf, ma, d):
     return StateVector(jc_layout(d), tensor([fock(nf, d), fock(ma, 2)]))
-
-
-def total_excitation(d: int) -> np.ndarray:
-    a = annihilation(d)
-    return np.kron(a.conj().T @ a, np.eye(2)) + np.kron(np.eye(d), EXCITED_PROJECTOR)
 
 
 class TestHamiltonian:
@@ -133,6 +131,19 @@ class TestEvolve:
         between = n[:, None] != n[None, :]
         for T in (0.3, 1.7, 2 * np.pi):
             assert np.all(propagator(d, T)[between] == 0.0)
+
+    @pytest.mark.parametrize("d", range(2, 9))
+    def test_propagator_matches_dense_exponential(self, d):
+        rng = np.random.default_rng(80 + d)
+        for T in rng.uniform(0, 4 * np.pi, size=5):
+            assert np.max(np.abs(propagator(d, T) - dense_propagator(d, T))) < 1e-13
+        ts = rng.uniform(0, 4 * np.pi, size=3)
+        stacked = np.stack([dense_propagator(d, T) for T in ts])
+        assert np.max(np.abs(propagator(d, ts) - stacked)) < 1e-13
+
+    @pytest.mark.parametrize("d", range(2, 9))
+    def test_propagator_at_t0_is_exactly_the_identity(self, d):
+        assert np.array_equal(propagator(d, 0.0), np.eye(2 * d))
 
     def test_case_a_period_pi(self):
         rho0 = initial_state(ScenarioCase("A"), 2)

@@ -9,10 +9,8 @@ from jcnc.hilbert import (
     ShapeError,
     StateValidationError,
     StateVector,
-    annihilation,
     density_diagnostics,
     fock,
-    hermitian_eigensystem,
     hermitian_eigenvalues,
     l1_coherence,
     negativity,
@@ -21,6 +19,8 @@ from jcnc.hilbert import (
     single_mode,
     tensor,
 )
+
+from jc_operators import annihilation
 
 
 def random_density(rng, layout):
@@ -251,29 +251,6 @@ class TestHermitianEigenvalues:
         eb = hermitian_eigenvalues(b)
         products = np.sort(np.outer(ea, eb).ravel())
         assert np.allclose(ev, products, atol=1e-10)
-
-
-class TestHermitianEigensystem:
-    def test_block_diagonal_vectors_stay_in_their_block(self):
-        # blocks {0, 3}, {1}, {2, 4, 5} in a permuted basis, with a degenerate
-        # eigenvalue shared between blocks
-        rng = np.random.default_rng(14)
-        h = np.zeros((6, 6), dtype=complex)
-        for block in ([0, 3], [1], [2, 4, 5]):
-            a = rng.normal(size=(len(block),) * 2) + 1j * rng.normal(size=(len(block),) * 2)
-            h[np.ix_(block, block)] = a + a.conj().T
-        h[1, 1] = hermitian_eigenvalues(h[np.ix_([0, 3], [0, 3])])[0]
-        w, v = hermitian_eigensystem(h)
-        assert np.max(np.abs(v.conj().T @ v - np.eye(6))) < 1e-14
-        assert np.max(np.abs((v * w) @ v.conj().T - h)) < 1e-13
-        block_of = np.array([0, 1, 2, 0, 2, 2])
-        for col in range(6):
-            support = np.flatnonzero(v[:, col])
-            assert len(set(block_of[support])) == 1
-
-    def test_rejects_a_stack(self):
-        with pytest.raises(ShapeError):
-            hermitian_eigensystem(np.zeros((2, 3, 3)))
 
 
 class TestNegativity:

@@ -11,7 +11,7 @@ from jcnc.hilbert import (
     tensor,
 )
 from jcnc.nonclassicality import (
-    beam_splitter_unitary,
+    beam_splitter_columns,
     bs_output,
     cascade,
     depletion_ratios,
@@ -21,6 +21,7 @@ from jcnc.nonclassicality import (
 )
 
 from cascade_tree import cascade_tree
+from jc_operators import dense_beam_splitter, photon_number
 
 SQRT2 = np.sqrt(2.0)
 
@@ -38,39 +39,46 @@ def case_a_field(T):
 
 
 class TestBeamSplitterUnitary:
+    """The vacuum-ancilla columns |n, 0> of the splitter unitary."""
+
     @pytest.mark.parametrize("d", [2, 3, 4])
     def test_unitary(self, d):
-        u = beam_splitter_unitary(d)
-        assert np.max(np.abs(u.conj().T @ u - np.eye(d * d))) < 1e-12
+        u0 = beam_splitter_columns(d)
+        assert u0.shape == (d * d, d)
+        assert np.max(np.abs(u0.conj().T @ u0 - np.eye(d))) < 1e-12
 
     @pytest.mark.parametrize("d", [2, 3, 4])
     def test_photon_number_conserved(self, d):
-        from jcnc.hilbert import annihilation
-
-        a = annihilation(d)
-        n_tot = np.kron(a.conj().T @ a, np.eye(d)) + np.kron(np.eye(d), a.conj().T @ a)
-        u = beam_splitter_unitary(d)
-        assert np.max(np.abs(u @ n_tot - n_tot @ u)) < 1e-12
+        # column n carries n photons
+        u0 = beam_splitter_columns(d)
+        assert np.max(np.abs(photon_number(d) @ u0 - u0 * np.arange(d))) < 1e-12
 
     @pytest.mark.parametrize("d", range(2, 9))
     def test_zero_between_photon_number_sectors(self, d):
         n = np.add.outer(np.arange(d), np.arange(d)).ravel()
-        assert np.all(beam_splitter_unitary(d)[n[:, None] != n[None, :]] == 0.0)
+        assert np.all(beam_splitter_columns(d)[n[:, None] != np.arange(d)] == 0.0)
+
+    @pytest.mark.parametrize("d", range(2, 9))
+    def test_matches_dense_exponential(self, d):
+        dense = dense_beam_splitter(d)[:, ::d]
+        assert np.max(np.abs(beam_splitter_columns(d) - dense)) < 1e-14
+
+    def test_read_only(self):
+        with pytest.raises(ValueError):
+            beam_splitter_columns(3)[0, 0] = 1.0
 
     def test_vacuum_fixed(self):
-        u = beam_splitter_unitary(3)
+        u0 = beam_splitter_columns(3)
         v = tensor([fock(0, 3), fock(0, 3)])
-        assert np.allclose(u @ v, v, atol=1e-12)
+        assert np.allclose(u0 @ fock(0, 3), v, atol=1e-12)
 
     def test_single_photon_split(self):
-        u = beam_splitter_unitary(3)
-        out = u @ tensor([fock(1, 3), fock(0, 3)])
+        out = beam_splitter_columns(3) @ fock(1, 3)
         expected = (tensor([fock(1, 3), fock(0, 3)]) - 1j * tensor([fock(0, 3), fock(1, 3)])) / SQRT2
         assert np.allclose(out, expected, atol=1e-12)
 
     def test_two_photon_split(self):
-        u = beam_splitter_unitary(3)
-        out = u @ tensor([fock(2, 3), fock(0, 3)])
+        out = beam_splitter_columns(3) @ fock(2, 3)
         expected = (
             0.5 * tensor([fock(2, 3), fock(0, 3)])
             - (1j / SQRT2) * tensor([fock(1, 3), fock(1, 3)])
@@ -80,26 +88,25 @@ class TestBeamSplitterUnitary:
 
     def test_invalid_dim(self):
         with pytest.raises(DimensionError):
-            beam_splitter_unitary(1)
+            beam_splitter_columns(1)
 
 
 class TestQubitBeamSplitter:
     """The d = 2 truncation, which bs_output uses for every qubit-sized mode."""
 
     def test_unitary(self):
-        u = beam_splitter_unitary(2)
-        assert np.max(np.abs(u.conj().T @ u - np.eye(4))) < 1e-15
+        u0 = beam_splitter_columns(2)
+        assert np.max(np.abs(u0.conj().T @ u0 - np.eye(2))) < 1e-15
 
     def test_excitation_split(self):
-        u = beam_splitter_unitary(2)
-        out = u @ tensor([fock(1, 2), fock(0, 2)])
+        out = beam_splitter_columns(2) @ fock(1, 2)
         expected = (tensor([fock(1, 2), fock(0, 2)]) - 1j * tensor([fock(0, 2), fock(1, 2)])) / SQRT2
         assert np.allclose(out, expected, atol=1e-15)
 
     def test_vacuum_and_double_fixed(self):
-        u = beam_splitter_unitary(2)
-        assert np.allclose(u @ tensor([fock(0, 2), fock(0, 2)]), tensor([fock(0, 2), fock(0, 2)]))
-        assert np.allclose(u @ tensor([fock(1, 2), fock(1, 2)]), tensor([fock(1, 2), fock(1, 2)]))
+        # only vacuum-ancilla inputs have columns, so |1,1> is not among them
+        u0 = beam_splitter_columns(2)
+        assert np.allclose(u0 @ fock(0, 2), tensor([fock(0, 2), fock(0, 2)]))
 
 
 class TestBsOutput:
