@@ -35,7 +35,6 @@ from .nonclassicality import (
     extrapolate_total,
     total_nonclassicality,
 )
-from .cli import ScenarioConfig, compare_with_oracle, parse_config, run_scenario, write_outputs
 
 __all__ = [
     "DensityOperator",
@@ -69,3 +68,18 @@ __all__ = [
 ]
 
 __version__ = "0.1.0"
+
+# The runner is loaded on first use, not here: `python -m jcnc.cli` imports
+# this package before it runs jcnc.cli as __main__, and a jcnc.cli already
+# in sys.modules by then makes runpy warn.
+_CLI_NAMES = frozenset(
+    {"ScenarioConfig", "compare_with_oracle", "parse_config", "run_scenario", "write_outputs"}
+)
+
+
+def __getattr__(name):
+    if name in _CLI_NAMES:
+        from . import cli
+
+        return getattr(cli, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

@@ -258,29 +258,34 @@ def _blocks(h: np.ndarray) -> tuple[np.ndarray, ...]:
     return _block_groups(h.shape[-1], np.packbits(mask | mask.T).tobytes())
 
 
+def _block_eigvalsh(blocks: np.ndarray) -> np.ndarray:
+    """Ascending spectra of a stack of Hermitian blocks of one size: size 1
+    is the real diagonal, size 2 the closed form, larger sizes one eigvalsh
+    call."""
+    size = blocks.shape[-1]
+    if size == 1:
+        return blocks[..., 0].real
+    if size == 2:
+        a, d = blocks[..., 0, 0].real, blocks[..., 1, 1].real
+        mean, radius = 0.5 * (a + d), np.hypot(0.5 * (a - d), np.abs(blocks[..., 1, 0]))
+        return np.stack([mean - radius, mean + radius], axis=-1)
+    return np.linalg.eigvalsh(blocks)
+
+
 def _eigvalsh(h: np.ndarray) -> np.ndarray:
     """Ascending spectra of a Hermitian stack, solved per exact block.
 
     A block-diagonal matrix's spectrum is the union of its blocks' spectra.
-    Each group of equal-size blocks is one stack: size 1 is the real
-    diagonal, size 2 the closed form, larger sizes one eigvalsh call. A
-    dense stack is one block and one eigvalsh call on the whole stack.
+    Each group of equal-size blocks is one stack for `_block_eigvalsh`; a
+    dense stack is one block, solved as the whole stack.
     """
     groups = _blocks(h)
     if len(groups) == 1 and len(groups[0]) == 1:
-        return np.linalg.eigvalsh(h)
+        return _block_eigvalsh(h)
     batch = h.shape[:-2]
     parts = []
     for idx in groups:
-        blocks = h[..., idx[:, :, None], idx[:, None, :]]
-        if idx.shape[1] == 1:
-            ev = blocks[..., 0].real
-        elif idx.shape[1] == 2:
-            a, d = blocks[..., 0, 0].real, blocks[..., 1, 1].real
-            mean, radius = 0.5 * (a + d), np.hypot(0.5 * (a - d), np.abs(blocks[..., 1, 0]))
-            ev = np.stack([mean - radius, mean + radius], axis=-1)
-        else:
-            ev = np.linalg.eigvalsh(blocks)
+        ev = _block_eigvalsh(h[..., idx[:, :, None], idx[:, None, :]])
         parts.append(ev.reshape(batch + (idx.size,)))
     return np.sort(np.concatenate(parts, axis=-1), axis=-1)
 
@@ -306,8 +311,14 @@ def negativity(rho: DensityOperator, subsystem: str):
     array of the stack's batch shape otherwise.
     """
     ev = hermitian_eigenvalues(partial_transpose(rho, subsystem))
+    return _negative_sum(ev)[()]
+
+
+def _negative_sum(ev: np.ndarray) -> np.ndarray:
+    """Summed magnitudes of the eigenvalues below NEGATIVITY_EIG_FLOOR,
+    over the last axis of a stack of spectra."""
     # + 0.0 turns the -0.0 of an all-zero sum into 0.0, which prints as 0
-    return (-np.sum(np.where(ev < NEGATIVITY_EIG_FLOOR, ev, 0.0), axis=-1) + 0.0)[()]
+    return -np.sum(np.where(ev < NEGATIVITY_EIG_FLOOR, ev, 0.0), axis=-1) + 0.0
 
 
 def l1_coherence(rho: DensityOperator):

@@ -7,6 +7,16 @@ outputs retain residual nonclassicality, which further beam-splitter layers
 deplete; the cascade sums per-layer potentials into running totals. Every
 function acts on state stacks, so a cascade layer is one stack over time
 points.
+
+A layer takes one of two paths, chosen per stack. A stack with no nonzero
+off-diagonal entry in any matrix (exactly Fock-diagonal, as the reduced
+states of cases A, B and C are) takes the photon-number path: its
+potential comes from the blocks of the output's partial transpose, one per
+photon difference and at most `d` wide, built from the Fock weights, and
+its thinned state is the binomial thinning of those weights, so no
+two-mode output is formed. Any other stack takes the dense path: the
+`d^2`-wide splitter output, its partial-transpose spectrum and its partial
+trace.
 """
 
 from __future__ import annotations
@@ -21,7 +31,10 @@ from .hilbert import (
     DensityOperator,
     DimensionError,
     ModeLayout,
+    _block_eigvalsh,
+    _negative_sum,
     dagger,
+    hermitian_eigenvalues,
     negativity,
     partial_trace,
 )
@@ -70,10 +83,103 @@ def bs_output(rho_mode: DensityOperator) -> DensityOperator:
     return DensityOperator(layout, out)
 
 
+@lru_cache(maxsize=None)
+def _photon_difference_tables(d: int) -> tuple[tuple[np.ndarray, np.ndarray], ...]:
+    """For each photon difference delta = 0..d-1, the (weight index,
+    coefficient) arrays of shape (d - delta, d - delta) that build the block
+    M_delta from Fock weights p as p[index] * coefficient. An entry whose
+    photon number n reaches d is zero: its coefficient is 0, and its index
+    is clipped to d - 1."""
+    tables = []
+    for delta in range(d):
+        k = np.arange(delta, d)   # mode photons; the ancilla holds k - delta
+        n = k[:, None] + k[None, :] - delta
+        coef = np.zeros(n.shape)
+        for (i, j), m in np.ndenumerate(n):
+            if m < d:
+                coef[i, j] = math.sqrt(math.comb(m, k[i]) * math.comb(m, k[j])) / 2**m
+        index = np.minimum(n, d - 1)
+        for a in (index, coef):
+            a.setflags(write=False)
+        tables.append((index, coef))
+    return tuple(tables)
+
+
+def photon_difference_blocks(weights: np.ndarray) -> tuple[np.ndarray, ...]:
+    """The partial transpose, over the ancilla, of the splitter output of
+    the Fock-diagonal state with weights p (shape (..., d)), as its blocks
+    M_delta for delta = n_mode - n_ancilla = 0..d-1.
+
+    The output conserves photon number, so its partial transpose conserves
+    the difference delta. In block delta, between |k, k-delta> and
+    |k', k'-delta>, the entry is p_n sqrt(C(n, k) C(n, k')) / 2^n times the
+    phase i^(k-k'), with n = k + k' - delta, and zero for n >= d. The
+    diagonal similarity i^k removes that phase, which leaves the spectrum
+    alone, so M_delta is that real symmetric matrix, of width d - delta.
+    Swapping the two modes maps block -delta onto block delta, so
+    M_-delta = M_delta.
+    """
+    p = np.asarray(weights, dtype=float)
+    return tuple(p[..., index] * coef for index, coef in _photon_difference_tables(p.shape[-1]))
+
+
+@lru_cache(maxsize=None)
+def _thinning_matrix(d: int) -> np.ndarray:
+    """B[n, k] = C(n, k) / 2^n: the probability that k of n photons stay in
+    the mode."""
+    b = np.array([[math.comb(n, k) / 2**n for k in range(d)] for n in range(d)])
+    b.setflags(write=False)
+    return b
+
+
+def binomial_thinning(weights: np.ndarray) -> np.ndarray:
+    """Fock weights p B (shape (..., d)) of either reduced output of the
+    splitter, for the Fock-diagonal input with weights p."""
+    p = np.asarray(weights, dtype=float)
+    return p @ _thinning_matrix(p.shape[-1])
+
+
+def _fock_weights(rho_mode: DensityOperator) -> np.ndarray | None:
+    """The Fock weights of a stack with no nonzero off-diagonal entry in
+    any matrix, else None; the test has no tolerance, as in the block
+    solver."""
+    m = rho_mode.matrix
+    if np.any(m[..., ~np.eye(m.shape[-1], dtype=bool)]):
+        return None
+    return np.diagonal(m, axis1=-2, axis2=-1).real
+
+
+def _layer(rho_mode: DensityOperator, thin: bool):
+    """One beam-splitter layer: the potential of each matrix of the stack,
+    and, when `thin`, the thinned state the next layer starts from (else
+    None)."""
+    if len(rho_mode.layout.subsystems) != 1:
+        raise DimensionError("a beam-splitter layer expects a single-mode state")
+    p = _fock_weights(rho_mode)
+    if p is None:
+        out = bs_output(rho_mode)
+        potential = negativity(out, out.layout.labels[1])
+        child = partial_trace(out, {out.layout.labels[0]}) if thin else None
+        return potential, child
+    # blocks of size 1 and 2 take their closed forms directly; larger ones
+    # pass the hermiticity check of hermitian_eigenvalues on the way
+    negative = [
+        _negative_sum(_block_eigvalsh(b) if b.shape[-1] <= 2 else hermitian_eigenvalues(b))
+        for b in photon_difference_blocks(p)
+    ]
+    # each block delta > 0 stands for itself and for block -delta
+    potential = (negative[0] + 2 * sum(negative[1:]))[()]
+    child = None
+    if thin:
+        thinned = binomial_thinning(p)
+        child = DensityOperator(rho_mode.layout, thinned[..., None] * np.eye(p.shape[-1]))
+    return potential, child
+
+
 def entanglement_potential(rho_mode: DensityOperator):
-    """Negativity across the beam-splitter output bipartition."""
-    out = bs_output(rho_mode)
-    return negativity(out, out.layout.labels[1])
+    """Negativity across the beam-splitter output bipartition, on the
+    photon-number path for an exactly Fock-diagonal stack."""
+    return _layer(rho_mode, thin=False)[0]
 
 
 @dataclass(frozen=True)
@@ -108,10 +214,8 @@ def cascade(rho_mode: DensityOperator, layers: int) -> CascadeReport:
     state = rho_mode
     potentials = []
     for depth in range(1, layers + 1):
-        out = bs_output(state)
-        potentials.append(negativity(out, out.layout.labels[1]))
-        if depth < layers:
-            state = partial_trace(out, {out.layout.labels[0]})
+        potential, state = _layer(state, thin=depth < layers)
+        potentials.append(potential)
     sums = tuple(2 ** n * p for n, p in enumerate(potentials))
     return CascadeReport(rho_mode.layout.labels[0], tuple(potentials), sums)
 

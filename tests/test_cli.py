@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 import jcnc
-from jcnc import cli, engine, oracle
+from jcnc import cli, engine, nonclassicality, oracle
 from jcnc.cli import (
     ConfigError,
     ScenarioConfig,
@@ -24,7 +24,7 @@ from jcnc.cli import (
     time_grid,
     write_outputs,
 )
-from jcnc.hilbert import negativity
+from jcnc.hilbert import negativity, partial_trace
 from jcnc.nonclassicality import cascade
 
 
@@ -155,6 +155,26 @@ class TestRunScenario:
         # the propagator is exactly the identity at T = 0, where the atom is excited
         cfg = make_config(case="D", alpha=0.1, n_points=5)
         assert run_scenario(cfg).column("coh_a")[0] == 0.0
+
+    def test_case_d_takes_the_dense_path_unchanged(self, monkeypatch):
+        # the reduced states carry Fock coherence, so every layer forms the
+        # splitter output, and the columns are that output's numbers exactly
+        formed = []
+        bs_output = nonclassicality.bs_output
+        monkeypatch.setattr(
+            nonclassicality, "bs_output", lambda rho: formed.append(rho) or bs_output(rho)
+        )
+        cfg = make_config(case="D", alpha=0.1, layers=2, n_points=9)
+        result = run_scenario(cfg)
+        assert len(formed) == 4   # one chunk, two layers, two subsystems
+        rho0 = engine.initial_state(engine.ScenarioCase("D", alpha=0.1), 3)
+        rho_f, rho_a = engine.reduced_states(engine.evolve(rho0, time_grid(cfg)))
+        for state, first, second in ((rho_f, "N_f", "res_f_2"), (rho_a, "N_a", "res_a_2")):
+            out = bs_output(state)
+            assert np.array_equal(result.column(first), negativity(out, out.layout.labels[1]))
+            child = bs_output(partial_trace(out, {out.layout.labels[0]}))
+            child_potential = negativity(child, child.layout.labels[1])
+            assert np.array_equal(result.column(second), 2 * child_potential)
 
     def test_chunked_run_matches_per_point_calls(self, monkeypatch):
         # a grid of three chunks against batch-of-one calls at every time;
@@ -472,12 +492,42 @@ class TestMain:
         assert code == 4
 
 
+def run_python(args, cwd):
+    env = dict(os.environ, PYTHONPATH=str(Path(jcnc.__file__).parents[1]))
+    return subprocess.run(
+        [sys.executable, *args], cwd=cwd, env=env, capture_output=True, text=True, timeout=60
+    )
+
+
+def test_module_run_raises_no_runtime_warning(tmp_path):
+    # importing the package must not import jcnc.cli ahead of runpy
+    done = run_python(["-W", "error::RuntimeWarning", "-m", "jcnc.cli", "--help"], tmp_path)
+    assert done.returncode == 0, done.stderr
+    assert done.stderr == ""
+
+
+def test_module_run_and_entry_point_write_identical_csvs(tmp_path):
+    args = ["--case", "C", "--mean-photon", "0.2", "--n-points", "7"]
+    # what the `jcnc` console script runs, from its entry point in pyproject.toml
+    entry_point = (
+        "import pkgutil, sys; sys.exit(pkgutil.resolve_name('jcnc.cli:main')(sys.argv[1:]))"
+    )
+    for prefix, launch in (("module", ["-m", "jcnc.cli"]), ("script", ["-c", entry_point])):
+        done = run_python([*launch, *args, "--output-prefix", prefix], tmp_path)
+        assert done.returncode == 0, done.stderr
+    assert (tmp_path / "module.csv").read_bytes() == (tmp_path / "script.csv").read_bytes()
+
+
+def test_package_resolves_the_runner_names_on_use():
+    assert jcnc.run_scenario is cli.run_scenario
+    assert jcnc.ScenarioConfig is cli.ScenarioConfig
+    with pytest.raises(AttributeError):
+        jcnc.no_such_name
+
+
 def test_cli_import_loads_no_scipy():
     # every fresh process pays for what importing the CLI loads
     code = "import sys, jcnc.cli; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
-    env = dict(os.environ, PYTHONPATH=str(Path(jcnc.__file__).parents[1]))
-    done = subprocess.run(
-        [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=60
-    )
+    done = run_python(["-c", code], None)
     assert done.returncode == 0, done.stderr
     assert done.stdout.strip() == "[]"

@@ -252,6 +252,19 @@ class TestHermitianEigenvalues:
         products = np.sort(np.outer(ea, eb).ravel())
         assert np.allclose(ev, products, atol=1e-10)
 
+    def test_dense_two_by_two_stack_takes_the_closed_form(self, monkeypatch):
+        rng = np.random.default_rng(14)
+        a = rng.normal(size=(400, 2, 2)) + 1j * rng.normal(size=(400, 2, 2))
+        m = a @ np.conj(np.swapaxes(a, -1, -2))
+        m /= np.trace(m, axis1=-2, axis2=-1)[:, None, None]
+        lapack = np.linalg.eigvalsh(m)
+        calls = []
+        eigvalsh = np.linalg.eigvalsh
+        monkeypatch.setattr(np.linalg, "eigvalsh", lambda h: calls.append(h) or eigvalsh(h))
+        ev = hermitian_eigenvalues(m)
+        assert calls == []
+        assert np.max(np.abs(ev - lapack)) < 1e-15
+
 
 class TestNegativity:
     def test_bell_half(self):

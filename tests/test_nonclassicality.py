@@ -10,6 +10,7 @@ from jcnc.hilbert import (
     single_mode,
     tensor,
 )
+from jcnc import nonclassicality
 from jcnc.nonclassicality import (
     beam_splitter_columns,
     bs_output,
@@ -27,7 +28,10 @@ SQRT2 = np.sqrt(2.0)
 
 
 def mode_state(diag, label="f"):
-    return DensityOperator(single_mode(label, len(diag)), np.diag(diag).astype(complex))
+    """Fock-diagonal state, or stack of them, with the given weights."""
+    p = np.asarray(diag, dtype=float)
+    d = p.shape[-1]
+    return DensityOperator(single_mode(label, d), p[..., None] * np.eye(d))
 
 
 def fock_state(n, d):
@@ -230,6 +234,45 @@ class TestCascade:
             cascade(case_a_field(0.3), 0)
         with pytest.raises(ValueError):
             cascade(case_a_field(0.3), 9)
+
+
+def count_bs_output(monkeypatch):
+    """Record the matrix shape of every splitter output the layers form."""
+    shapes = []
+    original = nonclassicality.bs_output
+
+    def counting(rho_mode):
+        shapes.append(rho_mode.matrix.shape)
+        return original(rho_mode)
+
+    monkeypatch.setattr(nonclassicality, "bs_output", counting)
+    return shapes
+
+
+class TestPathSelection:
+    def test_diagonal_stack_forms_no_splitter_output(self, monkeypatch):
+        rng = np.random.default_rng(33)
+        p = rng.uniform(size=(5, 4))
+        rho = mode_state(p / p.sum(axis=-1, keepdims=True))
+        shapes = count_bs_output(monkeypatch)
+        cascade(rho, 4)
+        entanglement_potential(rho)
+        entanglement_potential(fock_state(2, 3))
+        assert shapes == []
+
+    def test_one_coherence_sends_the_whole_stack_down_the_dense_path(self, monkeypatch):
+        rng = np.random.default_rng(34)
+        p = rng.uniform(0.2, 1.0, size=(5, 3))
+        m = mode_state(p / p.sum(axis=-1, keepdims=True)).matrix.copy()
+        m[2, 0, 1] = m[2, 1, 0] = 1e-3
+        rho = DensityOperator(single_mode("f", 3), m)
+        shapes = count_bs_output(monkeypatch)
+        rep = cascade(rho, 3)
+        assert shapes == [(5, 3, 3)] * 3
+        for i in range(5):
+            alone = cascade(DensityOperator(rho.layout, m[i]), 3)
+            for stacked, single in zip(rep.potentials, alone.potentials, strict=True):
+                assert abs(stacked[i] - single) < 1e-12
 
 
 class TestAtomFieldDuality:

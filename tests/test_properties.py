@@ -13,9 +13,16 @@ from jcnc.hilbert import (
     l1_coherence,
     negativity,
     partial_trace,
+    partial_transpose,
     single_mode,
 )
-from jcnc.nonclassicality import bs_output, cascade, total_nonclassicality
+from jcnc.nonclassicality import (
+    binomial_thinning,
+    bs_output,
+    cascade,
+    photon_difference_blocks,
+    total_nonclassicality,
+)
 
 from cascade_tree import cascade_tree
 
@@ -99,9 +106,10 @@ def test_block_spectra_match_the_dense_solver(m):
 
 
 @PROPERTY
-@given(DIM, BATCH, st.data())
+@given(st.integers(min_value=3, max_value=4), BATCH, st.data())
 def test_dense_spectra_are_the_dense_solver_bit_for_bit(d, batch, data):
-    # every real part is at least 1, so the whole matrix is one block
+    # every real part is at least 1, so the whole matrix is one block; a
+    # dense 2 x 2 stack takes the closed form instead (see test_hilbert)
     re = data.draw(hnp.arrays(float, batch + (d, d), elements=st.floats(0.5, 1.0)))
     im = data.draw(hnp.arrays(float, batch + (d, d), elements=ENTRY))
     a = re + 1j * im
@@ -153,6 +161,64 @@ def test_chain_equals_branch_tree(m, layers):
     for chain_sum, layer in zip(cascade(rho, layers).layer_sums, tree, strict=True):
         assert abs(chain_sum - np.sum(layer)) < 1e-14
         assert np.max(layer) - np.min(layer) < 1e-14
+
+
+@st.composite
+def fock_diagonal_stacks(draw):
+    """A stack of one to three exactly Fock-diagonal states of dimension
+    2-10, with weights that may be exactly zero."""
+    d = draw(st.integers(min_value=2, max_value=10))
+    batch = draw(st.integers(min_value=1, max_value=3))
+    weight = st.one_of(st.just(0.0), st.floats(min_value=0.0, max_value=1.0))
+    w = draw(hnp.arrays(float, (batch, d), elements=weight))
+    assume(np.all(w.sum(axis=-1) > 1e-3))
+    p = w / w.sum(axis=-1, keepdims=True)
+    return DensityOperator(single_mode("f", d), p[..., None] * np.eye(d))
+
+
+def fock_weights(rho):
+    return np.diagonal(rho.matrix, axis1=-2, axis2=-1).real
+
+
+@PROPERTY
+@given(fock_diagonal_stacks(), st.integers(1, 6))
+def test_photon_number_path_matches_the_dense_branch_tree(rho, layers):
+    # the tree forms every branch's d^2-wide splitter output
+    rep = cascade(rho, layers)
+    tree = cascade_tree(rho, layers)
+    for potential, layer_sum, branches in zip(rep.potentials, rep.layer_sums, tree, strict=True):
+        assert np.max(np.abs(branches - potential[..., None])) < 1e-12
+        assert np.max(np.abs(np.sum(branches, axis=-1) - layer_sum)) < 1e-12
+
+
+@PROPERTY
+@given(fock_diagonal_stacks())
+def test_binomial_thinning_is_the_dense_partial_trace(rho):
+    out = bs_output(rho)
+    thinned = binomial_thinning(fock_weights(rho))
+    for kept in out.layout.labels:
+        reduced = partial_trace(out, {kept})
+        assert np.all(l1_coherence(reduced) == 0.0)
+        assert np.max(np.abs(fock_weights(reduced) - thinned)) < 1e-15
+
+
+@PROPERTY
+@given(fock_diagonal_stacks())
+def test_photon_difference_blocks_are_the_dense_partial_transpose(rho):
+    # block delta sits on |k, k - delta>, block -delta on |k - delta, k>;
+    # the similarity i^k on the mode's photon number makes both real, and
+    # every entry outside the blocks is exactly zero
+    d = rho.layout.dim
+    pt = partial_transpose(bs_output(rho), "f0")
+    covered = np.zeros((d * d, d * d), dtype=bool)
+    for delta, block in enumerate(photon_difference_blocks(fock_weights(rho))):
+        k = np.arange(delta, d)
+        phase = np.array([1, 1j, -1, -1j])[k % 4]
+        for idx in (k * d + (k - delta), (k - delta) * d + k):
+            sub = pt[..., idx[:, None], idx[None, :]]
+            assert np.max(np.abs(np.conj(phase)[:, None] * sub * phase - block)) < 1e-15
+            covered[idx[:, None], idx[None, :]] = True
+    assert np.all(pt[..., ~covered] == 0.0)
 
 
 @PROPERTY
