@@ -27,8 +27,6 @@ from .engine import (
 )
 from .nonclassicality import (
     CascadeReport,
-    beam_splitter_columns,
-    bs_output,
     cascade,
     depletion_ratios,
     entanglement_potential,
@@ -53,8 +51,6 @@ __all__ = [
     "truncated_coherent",
     "truncated_thermal",
     "CascadeReport",
-    "beam_splitter_columns",
-    "bs_output",
     "cascade",
     "depletion_ratios",
     "entanglement_potential",

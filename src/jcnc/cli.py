@@ -32,15 +32,17 @@ EXIT_IO = 4
 ORACLE_TOL_EXACT = 1e-9      # cases A and B (closed forms are exact)
 ORACLE_TOL_REDUCED = 1e-8    # cases C and D (reduced-matrix transcriptions)
 
-# Byte budget of the largest stack of a time chunk, a cascade layer's
-# beam-splitter outputs: field_dim^4 complex values per time point, at any
-# depth. Each chunk pays a fixed numpy dispatch cost per stage, which 64 KiB
-# (50 points at field_dim 3) did not amortize; 512 KiB raised peak memory.
+# Byte budget of the largest stack of a time chunk, a dense cascade layer's
+# gathered partial transposes of the beam-splitter output: field_dim^4
+# complex values per time point, at any depth. Each chunk pays a fixed
+# numpy dispatch cost per stage, which 64 KiB (50 points at field_dim 3)
+# did not amortize; 512 KiB raised peak memory.
 CHUNK_BYTES = 256 * 1024
 
 # Largest single array a run allocates: the (n_points, n_columns) result
-# array, or one time point's beam-splitter output (a chunk holds at least
-# one point). A config above it is refused before anything is allocated.
+# array, or one time point's gathered partial transpose (a chunk holds at
+# least one point), which also bounds each cached gather table. A config
+# above it is refused before anything is allocated.
 MAX_ARRAY_BYTES = 64 * 1024**2
 
 
@@ -143,7 +145,7 @@ def parse_config(source) -> ScenarioConfig:
     if point_bytes(field_dim) > MAX_ARRAY_BYTES:
         raise ConfigError(
             f"field 'field_dim': {field_dim} needs {point_bytes(field_dim)} bytes "
-            f"of beam-splitter output per time point, above the "
+            f"of partial transpose per time point, above the "
             f"{MAX_ARRAY_BYTES}-byte limit"
         )
     # the result array holds at most one float column per CSV column
@@ -185,7 +187,8 @@ def time_grid(cfg: ScenarioConfig) -> np.ndarray:
 
 
 def point_bytes(field_dim: int) -> int:
-    """Bytes of one time point's beam-splitter output."""
+    """Bytes of one time point's gathered partial transpose of the
+    beam-splitter output, the d^2 x d^2 complex matrix of a dense layer."""
     return field_dim**4 * np.dtype(complex).itemsize
 
 

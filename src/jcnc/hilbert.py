@@ -332,11 +332,17 @@ def density_diagnostics(rho, tol: float = PSD_TOL) -> DensityDiagnostics:
     """Invariant check of a DensityOperator or a raw (..., n, n) stack of
     square matrices; never raises."""
     m = np.asarray(rho.matrix if isinstance(rho, DensityOperator) else rho, dtype=complex)
-    herm = float(np.max(np.abs(m - dagger(m))))
-    trace_dev = float(np.max(np.abs(np.trace(m, axis1=-2, axis2=-1) - 1.0)))
-    # eigenvalues of the Hermitian part; meaningful once herm is small, and
-    # skipped when herm is not finite, as eigvalsh may not converge on NaN
-    h = 0.5 * (m + dagger(m))
-    min_eig = float(np.min(_eigvalsh(h))) if np.isfinite(herm) else np.nan
+    if m.size == 0:
+        # an empty stack holds no matrix that could break an invariant
+        return DensityDiagnostics(0.0, 0.0, np.inf, tol, True)
+    # a non-finite entry yields NaN deviations, reported as not ok
+    with np.errstate(invalid="ignore", over="ignore"):
+        herm = float(np.max(np.abs(m - dagger(m))))
+        trace_dev = float(np.max(np.abs(np.trace(m, axis1=-2, axis2=-1) - 1.0)))
+        # eigenvalues of the Hermitian part; meaningful once herm is small,
+        # and skipped when herm is not finite, as eigvalsh may not converge
+        # on NaN
+        h = 0.5 * (m + dagger(m))
+        min_eig = float(np.min(_eigvalsh(h))) if np.isfinite(herm) else np.nan
     ok = herm <= tol and trace_dev <= tol and min_eig >= -tol
     return DensityDiagnostics(herm, trace_dev, min_eig, tol, ok)

@@ -8,15 +8,15 @@ deplete; the cascade sums per-layer potentials into running totals. Every
 function acts on state stacks, so a cascade layer is one stack over time
 points.
 
-A layer takes one of two paths, chosen per stack. A stack with no nonzero
-off-diagonal entry in any matrix (exactly Fock-diagonal, as the reduced
-states of cases A, B and C are) takes the photon-number path: its
-potential comes from the blocks of the output's partial transpose, one per
-photon difference and at most `d` wide, built from the Fock weights, and
-its thinned state is the binomial thinning of those weights, so no
-two-mode output is formed. Any other stack takes the dense path: the
-`d^2`-wide splitter output, its partial-transpose spectrum and its partial
-trace.
+The splitter enters only through one table, `B[n, k] = C(n, k) / 2^n`,
+whose square roots are its amplitudes, and the output is never formed: a
+layer gathers the output's partial transpose and its reduced state
+straight from the input's entries. A stack with no nonzero off-diagonal
+entry in any matrix (exactly Fock-diagonal, as the reduced states of
+cases A, B and C are) gathers only the photon-difference blocks of that
+partial transpose, at most `d` wide, and thins its weights p to p B, the
+reduced state's diagonal. Any other stack gathers the whole `d^2`-wide
+partial transpose and the whole reduced state.
 """
 
 from __future__ import annotations
@@ -30,13 +30,9 @@ import numpy as np
 from .hilbert import (
     DensityOperator,
     DimensionError,
-    ModeLayout,
     _block_eigvalsh,
     _negative_sum,
-    dagger,
     hermitian_eigenvalues,
-    negativity,
-    partial_trace,
 )
 
 MAX_CASCADE_LAYERS = 6
@@ -47,106 +43,73 @@ DEPLETION_RATIO = 2.0 / 5.0
 
 
 @lru_cache(maxsize=None)
-def beam_splitter_columns(d: int) -> np.ndarray:
-    """Vacuum-ancilla columns of exp(-i (pi/4) (a^dag b + a b^dag)) on
-    mode (x) ancilla, both dim d: the d^2 x d matrix whose column n is the
-    image of |n, 0>, from its closed form
-
-        |n, 0> -> sum_k sqrt(C(n, k) / 2^n) (-i)^(n-k) |k, n-k>.
-
+def splitting_probabilities(d: int) -> np.ndarray:
+    """The d x d table B[n, k] = C(n, k) / 2^n, zero for k > n: the
+    probability that k of n photons stay in the mode. Its square roots are
+    the splitter's amplitudes: exp(-i (pi/4) (a^dag b + a b^dag)) on
+    mode (x) ancilla maps |n, 0> to sum_k sqrt(B[n, k]) (-i)^(n-k) |k, n-k>.
     Photon number is conserved, so a vacuum ancilla never overflows the
-    truncation, and each column is exactly zero outside its photon number.
-    Sign convention: |1,0> -> (|1,0> - i|0,1>)/sqrt(2), vacuum fixed.
+    truncation.
     """
     if d < 2:
         raise DimensionError(f"beam splitter needs dim >= 2, got {d}")
-    phase = (1, -1j, -1, 1j)   # (-i)^m by m mod 4, exactly
-    u0 = np.zeros((d, d, d), dtype=complex)   # (mode k, ancilla n-k, input n)
-    for n in range(d):
-        for k in range(n + 1):
-            u0[k, n - k, n] = math.sqrt(math.comb(n, k) / 2**n) * phase[(n - k) % 4]
-    u0 = u0.reshape(d * d, d)
-    u0.setflags(write=False)
-    return u0
-
-
-def bs_output(rho_mode: DensityOperator) -> DensityOperator:
-    """Mix a single-mode state stack with a same-dimension vacuum ancilla."""
-    if len(rho_mode.layout.subsystems) != 1:
-        raise DimensionError("bs_output expects a single-mode state")
-    label, d = rho_mode.layout.subsystems[0]
-    # the ancilla is vacuum, so only the unitary's columns |n, 0> act
-    u0 = beam_splitter_columns(d)
-    out = u0 @ rho_mode.matrix @ dagger(u0)
-    out = 0.5 * (out + dagger(out))
-    layout = ModeLayout(((label, d), (label + "0", d)))
-    return DensityOperator(layout, out)
-
-
-@lru_cache(maxsize=None)
-def _photon_difference_tables(d: int) -> tuple[tuple[np.ndarray, np.ndarray], ...]:
-    """For each photon difference delta = 0..d-1, the (weight index,
-    coefficient) arrays of shape (d - delta, d - delta) that build the block
-    M_delta from Fock weights p as p[index] * coefficient. An entry whose
-    photon number n reaches d is zero: its coefficient is 0, and its index
-    is clipped to d - 1."""
-    tables = []
-    for delta in range(d):
-        k = np.arange(delta, d)   # mode photons; the ancilla holds k - delta
-        n = k[:, None] + k[None, :] - delta
-        coef = np.zeros(n.shape)
-        for (i, j), m in np.ndenumerate(n):
-            if m < d:
-                coef[i, j] = math.sqrt(math.comb(m, k[i]) * math.comb(m, k[j])) / 2**m
-        index = np.minimum(n, d - 1)
-        for a in (index, coef):
-            a.setflags(write=False)
-        tables.append((index, coef))
-    return tuple(tables)
-
-
-def photon_difference_blocks(weights: np.ndarray) -> tuple[np.ndarray, ...]:
-    """The partial transpose, over the ancilla, of the splitter output of
-    the Fock-diagonal state with weights p (shape (..., d)), as its blocks
-    M_delta for delta = n_mode - n_ancilla = 0..d-1.
-
-    The output conserves photon number, so its partial transpose conserves
-    the difference delta. In block delta, between |k, k-delta> and
-    |k', k'-delta>, the entry is p_n sqrt(C(n, k) C(n, k')) / 2^n times the
-    phase i^(k-k'), with n = k + k' - delta, and zero for n >= d. The
-    diagonal similarity i^k removes that phase, which leaves the spectrum
-    alone, so M_delta is that real symmetric matrix, of width d - delta.
-    Swapping the two modes maps block -delta onto block delta, so
-    M_-delta = M_delta.
-    """
-    p = np.asarray(weights, dtype=float)
-    return tuple(p[..., index] * coef for index, coef in _photon_difference_tables(p.shape[-1]))
-
-
-@lru_cache(maxsize=None)
-def _thinning_matrix(d: int) -> np.ndarray:
-    """B[n, k] = C(n, k) / 2^n: the probability that k of n photons stay in
-    the mode."""
     b = np.array([[math.comb(n, k) / 2**n for k in range(d)] for n in range(d)])
     b.setflags(write=False)
     return b
 
 
-def binomial_thinning(weights: np.ndarray) -> np.ndarray:
-    """Fock weights p B (shape (..., d)) of either reduced output of the
-    splitter, for the Fock-diagonal input with weights p."""
-    p = np.asarray(weights, dtype=float)
-    return p @ _thinning_matrix(p.shape[-1])
+def _gather(d: int, r, s, a, b) -> tuple[np.ndarray, np.ndarray]:
+    """(index, coefficient) arrays, of the broadcast shape of r, s, a and b,
+    that read rho[r, s] sqrt(B[r, a] B[s, b]) from a flattened d x d matrix
+    as rho.ravel()[index] * coefficient; the coefficient is 0 wherever r or
+    s reaches d. The product of two amplitudes is taken under one square
+    root, so it is exact where the amplitudes are not, as at B = 1/2."""
+    r, s, a, b = np.broadcast_arrays(r, s, a, b)
+    inside = (r < d) & (s < d)
+    r, s = np.minimum(r, d - 1), np.minimum(s, d - 1)
+    prob = splitting_probabilities(d)
+    tables = (r * d + s, np.where(inside, np.sqrt(prob[r, a] * prob[s, b]), 0.0))
+    for t in tables:
+        t.setflags(write=False)
+    return tables
 
 
-def _fock_weights(rho_mode: DensityOperator) -> np.ndarray | None:
-    """The Fock weights of a stack with no nonzero off-diagonal entry in
-    any matrix, else None; the test has no tolerance, as in the block
-    solver."""
-    m = rho_mode.matrix
-    if np.any(m[..., ~np.eye(m.shape[-1], dtype=bool)]):
-        return None
-    return np.diagonal(m, axis1=-2, axis2=-1).real
+@lru_cache(maxsize=None)
+def _transpose_blocks(d: int, diagonal: bool) -> tuple[tuple[np.ndarray, np.ndarray], ...]:
+    """Gather tables of the blocks of the output's partial transpose over
+    the ancilla, for a dense or an exactly Fock-diagonal input of dim d.
+
+    With c = sqrt(B), the output's entry between |k, j> and |k', j'> is
+    rho[k+j, k'+j'] c[k+j, k] c[k'+j', k'] times the phase (-i)^j i^j'. In
+    the partial transpose that phase is i^j (-i)^j', the diagonal
+    similarity i^j, which leaves the spectrum alone and is dropped; a dense
+    input gives one d^2-wide block.
+
+    A Fock-diagonal input's partial transpose links only states of one
+    photon difference delta = k - j. Swapping the two modes maps block
+    -delta onto block delta, so only delta = 0..d-1 are built, d - delta
+    wide.
+    """
+    if not diagonal:
+        k, j = np.divmod(np.arange(d * d), d)   # rows |k, j> of mode (x) ancilla
+        return (_gather(d, k[:, None] + j, j[:, None] + k, k[:, None], k),)
+    blocks = []
+    for delta in range(d):
+        k = np.arange(delta, d)   # the mode's photons; the ancilla holds k - delta
+        n = k[:, None] + k - delta   # k + j' = k' + j
+        blocks.append(_gather(d, n, n, k[:, None], k))
+    return tuple(blocks)
+
+
+@lru_cache(maxsize=None)
+def _kraus_table(d: int) -> tuple[np.ndarray, np.ndarray]:
+    """Gather table, axes (j, k, l), of the output's reduced state
+    rho'[k, l] = sum_j rho[k+j, l+j] c[k+j, k] c[l+j, l]: tracing out the
+    ancilla sets j = j' and cancels the phase. On a Fock-diagonal input
+    its diagonal is the binomial thinning p B."""
+    k = np.arange(d)
+    j = k[:, None, None]   # the ancilla's photons
+    return _gather(d, k[:, None] + j, k + j, k[:, None], k)
 
 
 def _layer(rho_mode: DensityOperator, thin: bool):
@@ -155,25 +118,28 @@ def _layer(rho_mode: DensityOperator, thin: bool):
     None)."""
     if len(rho_mode.layout.subsystems) != 1:
         raise DimensionError("a beam-splitter layer expects a single-mode state")
-    p = _fock_weights(rho_mode)
-    if p is None:
-        out = bs_output(rho_mode)
-        potential = negativity(out, out.layout.labels[1])
-        child = partial_trace(out, {out.layout.labels[0]}) if thin else None
-        return potential, child
+    m = rho_mode.matrix
+    d = m.shape[-1]
+    # no tolerance, as in the block solver
+    diagonal = not np.any(m[..., ~np.eye(d, dtype=bool)])
+    flat = (m.real if diagonal else m).reshape(m.shape[:-2] + (d * d,))
     # blocks of size 1 and 2 take their closed forms directly; larger ones
     # pass the hermiticity check of hermitian_eigenvalues on the way
     negative = [
         _negative_sum(_block_eigvalsh(b) if b.shape[-1] <= 2 else hermitian_eigenvalues(b))
-        for b in photon_difference_blocks(p)
+        for b in (flat[..., index] * coef for index, coef in _transpose_blocks(d, diagonal))
     ]
     # each block delta > 0 stands for itself and for block -delta
     potential = (negative[0] + 2 * sum(negative[1:]))[()]
-    child = None
-    if thin:
-        thinned = binomial_thinning(p)
-        child = DensityOperator(rho_mode.layout, thinned[..., None] * np.eye(p.shape[-1]))
-    return potential, child
+    if not thin:
+        return potential, None
+    if diagonal:
+        # the diagonal of the Kraus sum, from the weights on the diagonal of rho
+        child = (flat[..., :: d + 1] @ splitting_probabilities(d))[..., None] * np.eye(d)
+    else:
+        index, coef = _kraus_table(d)
+        child = np.sum(flat[..., index] * coef, axis=-3)
+    return potential, DensityOperator(rho_mode.layout, child)
 
 
 def entanglement_potential(rho_mode: DensityOperator):
@@ -203,9 +169,9 @@ def cascade(rho_mode: DensityOperator, layers: int) -> CascadeReport:
     reduced outputs of a balanced splitter with a vacuum ancilla are the
     same pure-loss channel at transmissivity 1/2, the ancilla's up to the
     local phase rotation exp(-i pi n/2), which leaves the potential
-    unchanged. So each layer is one beam-splitter output, of the state
-    thinned by every layer before it, and its sum is 2^(l-1) times the
-    output's potential.
+    unchanged. So each layer is one beam splitter, on the state thinned by
+    every layer before it, and its sum is 2^(l-1) times that splitter's
+    potential.
     """
     if layers < 1:
         raise ValueError(f"need at least one layer, got {layers}")
@@ -221,9 +187,10 @@ def cascade(rho_mode: DensityOperator, layers: int) -> CascadeReport:
 
 
 def total_nonclassicality(
-    N_c: float, field_report: CascadeReport, atom_report: CascadeReport, layer: int
-) -> float:
-    """Correlation negativity plus every layer sum through `layer`."""
+    N_c: np.ndarray | float, field_report: CascadeReport, atom_report: CascadeReport, layer: int
+) -> np.ndarray | float:
+    """Correlation negativity plus every layer sum through `layer`, per
+    matrix of the stacks the reports were made from."""
     if layer < 1:
         raise ValueError(f"layer must be >= 1, got {layer}")
     for report in (field_report, atom_report):
@@ -237,8 +204,11 @@ def total_nonclassicality(
     )
 
 
-def extrapolate_total(N_c: float, N_f: float, N_a: float) -> float:
-    """Geometric-series limit of the cascade totals at DEPLETION_RATIO."""
+def extrapolate_total(
+    N_c: np.ndarray | float, N_f: np.ndarray | float, N_a: np.ndarray | float
+) -> np.ndarray | float:
+    """Geometric-series limit of the cascade totals at DEPLETION_RATIO, per
+    matrix of a stack."""
     return N_c + (N_f + N_a) / (1.0 - DEPLETION_RATIO)
 
 

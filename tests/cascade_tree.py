@@ -10,7 +10,8 @@ thinned state per layer, against it.
 import numpy as np
 
 from jcnc.hilbert import DensityOperator, negativity, partial_trace
-from jcnc.nonclassicality import bs_output
+
+from jc_operators import bs_output
 
 
 def cascade_tree(rho_mode: DensityOperator, layers: int) -> tuple[np.ndarray, ...]:

@@ -1,19 +1,21 @@
 """Dense operator references for the closed-form unitaries.
 
-The program builds the Jaynes-Cummings propagator and the beam splitter's
-vacuum-ancilla columns from their closed forms. This module keeps the dense
-operators those forms come from: the truncated annihilation operator, the
-interaction Hamiltonian, the doublet rotation, and both unitaries as matrix
-exponentials by numpy `eigh`, so the tests can check the closed forms
-against them.
+The program builds the Jaynes-Cummings propagator from its closed form and
+never forms the beam splitter's output. This module keeps the dense
+operators those come from: the truncated annihilation operator, the
+interaction Hamiltonian, the doublet rotation, both unitaries as matrix
+exponentials by numpy `eigh`, the splitter's vacuum-ancilla columns from
+their closed form, and the d^2-wide splitter output they give, so the tests
+can check the program against them.
 """
 
 import math
+from functools import lru_cache
 
 import numpy as np
 
 from jcnc.engine import EXCITED_PROJECTOR
-from jcnc.hilbert import DimensionError
+from jcnc.hilbert import DensityOperator, DimensionError, ModeLayout, dagger
 
 SIGMA_PLUS = np.array([[0, 0], [1, 0]], dtype=complex)   # |1><0| (ground=index 0)
 SIGMA_MINUS = SIGMA_PLUS.conj().T
@@ -71,3 +73,40 @@ def dense_beam_splitter(d: int) -> np.ndarray:
     """exp(-i (pi/4) (a^dag b + a b^dag)) on mode (x) ancilla, both dim d."""
     a = annihilation(d)
     return _expm_hermitian(np.kron(a.conj().T, a) + np.kron(a, a.conj().T), np.pi / 4)
+
+
+@lru_cache(maxsize=None)
+def beam_splitter_columns(d: int) -> np.ndarray:
+    """Vacuum-ancilla columns of exp(-i (pi/4) (a^dag b + a b^dag)) on
+    mode (x) ancilla, both dim d: the d^2 x d matrix whose column n is the
+    image of |n, 0>, from its closed form
+
+        |n, 0> -> sum_k sqrt(C(n, k) / 2^n) (-i)^(n-k) |k, n-k>.
+
+    Photon number is conserved, so a vacuum ancilla never overflows the
+    truncation, and each column is exactly zero outside its photon number.
+    Sign convention: |1,0> -> (|1,0> - i|0,1>)/sqrt(2), vacuum fixed.
+    """
+    if d < 2:
+        raise DimensionError(f"beam splitter needs dim >= 2, got {d}")
+    phase = (1, -1j, -1, 1j)   # (-i)^m by m mod 4, exactly
+    u0 = np.zeros((d, d, d), dtype=complex)   # (mode k, ancilla n-k, input n)
+    for n in range(d):
+        for k in range(n + 1):
+            u0[k, n - k, n] = math.sqrt(math.comb(n, k) / 2**n) * phase[(n - k) % 4]
+    u0 = u0.reshape(d * d, d)
+    u0.setflags(write=False)
+    return u0
+
+
+def bs_output(rho_mode: DensityOperator) -> DensityOperator:
+    """Mix a single-mode state stack with a same-dimension vacuum ancilla."""
+    if len(rho_mode.layout.subsystems) != 1:
+        raise DimensionError("bs_output expects a single-mode state")
+    label, d = rho_mode.layout.subsystems[0]
+    # the ancilla is vacuum, so only the unitary's columns |n, 0> act
+    u0 = beam_splitter_columns(d)
+    out = u0 @ rho_mode.matrix @ dagger(u0)
+    out = 0.5 * (out + dagger(out))
+    layout = ModeLayout(((label, d), (label + "0", d)))
+    return DensityOperator(layout, out)

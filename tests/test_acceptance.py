@@ -26,7 +26,6 @@ from jcnc.hilbert import (
     tensor,
 )
 from jcnc.nonclassicality import (
-    beam_splitter_columns,
     cascade,
     depletion_ratios,
     entanglement_potential,
@@ -34,7 +33,7 @@ from jcnc.nonclassicality import (
 )
 
 from cascade_tree import cascade_tree
-from jc_operators import photon_number, sector_evolution
+from jc_operators import beam_splitter_columns, photon_number, sector_evolution
 
 SQRT2 = math.sqrt(2.0)
 GRID = np.linspace(0.0, 2.0 * math.pi, 401)

@@ -27,6 +27,8 @@ from jcnc.cli import (
 from jcnc.hilbert import negativity, partial_trace
 from jcnc.nonclassicality import cascade
 
+from jc_operators import bs_output
+
 
 def make_config(**overrides):
     values = {"case": "A", "n_points": 9, "output_prefix": "unused"}
@@ -157,24 +159,28 @@ class TestRunScenario:
         assert run_scenario(cfg).column("coh_a")[0] == 0.0
 
     def test_case_d_takes_the_dense_path_unchanged(self, monkeypatch):
-        # the reduced states carry Fock coherence, so every layer forms the
-        # splitter output, and the columns are that output's numbers exactly
-        formed = []
-        bs_output = nonclassicality.bs_output
+        # the reduced states carry Fock coherence, so every layer gathers the
+        # whole partial transpose, and the columns are the dense splitter
+        # output's numbers
+        diagonal = []
+        tables = nonclassicality._transpose_blocks
         monkeypatch.setattr(
-            nonclassicality, "bs_output", lambda rho: formed.append(rho) or bs_output(rho)
+            nonclassicality,
+            "_transpose_blocks",
+            lambda d, is_diagonal: diagonal.append(is_diagonal) or tables(d, is_diagonal),
         )
         cfg = make_config(case="D", alpha=0.1, layers=2, n_points=9)
         result = run_scenario(cfg)
-        assert len(formed) == 4   # one chunk, two layers, two subsystems
+        assert diagonal == [False] * 4   # one chunk, two layers, two subsystems
         rho0 = engine.initial_state(engine.ScenarioCase("D", alpha=0.1), 3)
         rho_f, rho_a = engine.reduced_states(engine.evolve(rho0, time_grid(cfg)))
         for state, first, second in ((rho_f, "N_f", "res_f_2"), (rho_a, "N_a", "res_a_2")):
             out = bs_output(state)
-            assert np.array_equal(result.column(first), negativity(out, out.layout.labels[1]))
+            potential = negativity(out, out.layout.labels[1])
+            assert np.max(np.abs(result.column(first) - potential)) < 1e-12
             child = bs_output(partial_trace(out, {out.layout.labels[0]}))
             child_potential = negativity(child, child.layout.labels[1])
-            assert np.array_equal(result.column(second), 2 * child_potential)
+            assert np.max(np.abs(result.column(second) - 2 * child_potential)) < 1e-12
 
     def test_chunked_run_matches_per_point_calls(self, monkeypatch):
         # a grid of three chunks against batch-of-one calls at every time;

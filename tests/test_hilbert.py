@@ -364,6 +364,22 @@ class TestValidateDensity:
         assert not diag.ok
         assert not density_diagnostics(np.full((3, 3), np.nan)).ok
 
+    def test_empty_stack_is_vacuously_ok(self):
+        diag = density_diagnostics(np.zeros((0, 3, 3)))
+        assert diag.ok
+        assert (diag.hermiticity_deviation, diag.trace_deviation) == (0.0, 0.0)
+        rho = DensityOperator(single_mode("f", 3), np.zeros((0, 3, 3)))
+        assert rho.matrix.shape == (0, 3, 3)
+
+    @pytest.mark.parametrize("entry", [(0, 0), (0, 1)])
+    def test_infinite_entry_is_flagged_without_warning(self, entry):
+        # the suite turns a RuntimeWarning into an error
+        m = np.stack([np.eye(2) / 2, np.eye(2) / 2])
+        m[(1,) + entry] = np.inf
+        assert not density_diagnostics(m).ok
+        with pytest.raises(StateValidationError):
+            DensityOperator(single_mode("f", 2), m)
+
     def test_accepts_density_operator(self):
         rng = np.random.default_rng(17)
         rho = random_density(rng, single_mode("f", 4))

@@ -1,28 +1,31 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
+from jcnc.cli import point_bytes
 from jcnc.engine import ScenarioCase, evolve, initial_state, reduced_states
 from jcnc.hilbert import (
     DensityOperator,
     DimensionError,
     StateVector,
     fock,
+    l1_coherence,
     single_mode,
     tensor,
 )
 from jcnc import nonclassicality
 from jcnc.nonclassicality import (
-    beam_splitter_columns,
-    bs_output,
     cascade,
     depletion_ratios,
     entanglement_potential,
     extrapolate_total,
+    splitting_probabilities,
     total_nonclassicality,
 )
 
 from cascade_tree import cascade_tree
-from jc_operators import dense_beam_splitter, photon_number
+from jc_operators import beam_splitter_columns, bs_output, dense_beam_splitter, photon_number
 
 SQRT2 = np.sqrt(2.0)
 
@@ -69,7 +72,16 @@ class TestBeamSplitterUnitary:
 
     def test_read_only(self):
         with pytest.raises(ValueError):
-            beam_splitter_columns(3)[0, 0] = 1.0
+            splitting_probabilities(3)[0, 0] = 1.0
+
+    @pytest.mark.parametrize("d", range(2, 9))
+    def test_program_table_is_the_squared_dense_columns(self, d):
+        # the weight that column n puts on k mode photons, summed over the ancilla
+        columns = dense_beam_splitter(d)[:, ::d].reshape(d, d, d)   # (mode, ancilla, n)
+        kept = np.sum(np.abs(columns) ** 2, axis=1).T
+        assert np.max(np.abs(splitting_probabilities(d) - kept)) < 1e-14
+        with pytest.raises(DimensionError):
+            splitting_probabilities(1)
 
     def test_vacuum_fixed(self):
         u0 = beam_splitter_columns(3)
@@ -96,7 +108,7 @@ class TestBeamSplitterUnitary:
 
 
 class TestQubitBeamSplitter:
-    """The d = 2 truncation, which bs_output uses for every qubit-sized mode."""
+    """The d = 2 truncation, which every qubit-sized mode meets."""
 
     def test_unitary(self):
         u0 = beam_splitter_columns(2)
@@ -236,17 +248,24 @@ class TestCascade:
             cascade(case_a_field(0.3), 9)
 
 
-def count_bs_output(monkeypatch):
-    """Record the matrix shape of every splitter output the layers form."""
-    shapes = []
-    original = nonclassicality.bs_output
+def record_layers(monkeypatch):
+    """Record whether each layer takes the photon-number path, and the
+    thinned state each layer returns (None below the last layer)."""
+    diagonal, children = [], []
+    tables, layer = nonclassicality._transpose_blocks, nonclassicality._layer
 
-    def counting(rho_mode):
-        shapes.append(rho_mode.matrix.shape)
-        return original(rho_mode)
+    def recording_tables(d, is_diagonal):
+        diagonal.append(is_diagonal)
+        return tables(d, is_diagonal)
 
-    monkeypatch.setattr(nonclassicality, "bs_output", counting)
-    return shapes
+    def recording_layer(rho_mode, thin):
+        potential, child = layer(rho_mode, thin)
+        children.append(child)
+        return potential, child
+
+    monkeypatch.setattr(nonclassicality, "_transpose_blocks", recording_tables)
+    monkeypatch.setattr(nonclassicality, "_layer", recording_layer)
+    return diagonal, children
 
 
 class TestPathSelection:
@@ -254,11 +273,14 @@ class TestPathSelection:
         rng = np.random.default_rng(33)
         p = rng.uniform(size=(5, 4))
         rho = mode_state(p / p.sum(axis=-1, keepdims=True))
-        shapes = count_bs_output(monkeypatch)
+        diagonal, children = record_layers(monkeypatch)
         cascade(rho, 4)
         entanglement_potential(rho)
         entanglement_potential(fock_state(2, 3))
-        assert shapes == []
+        assert diagonal == [True] * 6
+        thinned = [child for child in children if child is not None]
+        assert len(thinned) == 3
+        assert all(np.all(l1_coherence(child) == 0.0) for child in thinned)
 
     def test_one_coherence_sends_the_whole_stack_down_the_dense_path(self, monkeypatch):
         rng = np.random.default_rng(34)
@@ -266,13 +288,39 @@ class TestPathSelection:
         m = mode_state(p / p.sum(axis=-1, keepdims=True)).matrix.copy()
         m[2, 0, 1] = m[2, 1, 0] = 1e-3
         rho = DensityOperator(single_mode("f", 3), m)
-        shapes = count_bs_output(monkeypatch)
+        diagonal, _ = record_layers(monkeypatch)
         rep = cascade(rho, 3)
-        assert shapes == [(5, 3, 3)] * 3
+        assert diagonal == [False] * 3
         for i in range(5):
             alone = cascade(DensityOperator(rho.layout, m[i]), 3)
             for stacked, single in zip(rep.potentials, alone.potentials, strict=True):
                 assert abs(stacked[i] - single) < 1e-12
+
+
+    def test_fock_diagonal_cascade_allocates_nothing_d4_sized(self):
+        # a d^2 x d^2 matrix, or a table over its entries, holds d^4 values;
+        # the photon-number path builds blocks of at most d x d
+        d = 30
+        p = np.arange(1.0, d + 1)
+        rho = mode_state(p / p.sum())
+        nonclassicality._transpose_blocks.cache_clear()
+        nonclassicality._kraus_table.cache_clear()
+        tracemalloc.start()
+        try:
+            cascade(rho, 3)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < d**4   # less than one byte per entry
+
+    @pytest.mark.parametrize("d, diagonal", [(2, False), (5, False), (2, True), (30, True)])
+    def test_cached_tables_are_read_only_and_bounded(self, d, diagonal):
+        # point_bytes bounds each table, so MAX_ARRAY_BYTES bounds it too
+        tables = [splitting_probabilities(d), *nonclassicality._kraus_table(d)]
+        tables += [t for block in nonclassicality._transpose_blocks(d, diagonal) for t in block]
+        for table in tables:
+            assert not table.flags.writeable
+            assert table.nbytes <= point_bytes(d)
 
 
 class TestAtomFieldDuality:

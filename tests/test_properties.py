@@ -16,15 +16,11 @@ from jcnc.hilbert import (
     partial_transpose,
     single_mode,
 )
-from jcnc.nonclassicality import (
-    binomial_thinning,
-    bs_output,
-    cascade,
-    photon_difference_blocks,
-    total_nonclassicality,
-)
+from jcnc import nonclassicality
+from jcnc.nonclassicality import cascade, total_nonclassicality
 
 from cascade_tree import cascade_tree
+from jc_operators import bs_output
 
 # the same examples on every run, and no example database on disk
 PROPERTY = settings(max_examples=50, deadline=None, derandomize=True, database=None)
@@ -176,12 +172,34 @@ def fock_diagonal_stacks(draw):
     return DensityOperator(single_mode("f", d), p[..., None] * np.eye(d))
 
 
+@st.composite
+def dense_mode_stacks(draw):
+    """A stack of one to three random density matrices of dimension 2-8,
+    which carry Fock coherence for all but degenerate draws."""
+    d = draw(st.integers(min_value=2, max_value=8))
+    batch = draw(st.integers(min_value=1, max_value=3))
+    mats = [draw(density_matrices(d)) for _ in range(batch)]
+    return DensityOperator(single_mode("f", d), np.array(mats))
+
+
 def fock_weights(rho):
     return np.diagonal(rho.matrix, axis1=-2, axis2=-1).real
 
 
+def gathered(rho, diagonal):
+    """The partial-transpose blocks that one layer gathers from a
+    single-mode stack, on the photon-number path when `diagonal`, and the
+    dense reduced output."""
+    d = rho.layout.dim
+    m = rho.matrix.real if diagonal else rho.matrix
+    flat = m.reshape(m.shape[:-2] + (d * d,))
+    index, coef = nonclassicality._kraus_table(d)
+    blocks = [flat[..., i] * c for i, c in nonclassicality._transpose_blocks(d, diagonal)]
+    return blocks, np.sum(flat[..., index] * coef, axis=-3)
+
+
 @PROPERTY
-@given(fock_diagonal_stacks(), st.integers(1, 6))
+@given(st.one_of(fock_diagonal_stacks(), dense_mode_stacks()), st.integers(1, 6))
 def test_photon_number_path_matches_the_dense_branch_tree(rho, layers):
     # the tree forms every branch's d^2-wide splitter output
     rep = cascade(rho, layers)
@@ -194,8 +212,13 @@ def test_photon_number_path_matches_the_dense_branch_tree(rho, layers):
 @PROPERTY
 @given(fock_diagonal_stacks())
 def test_binomial_thinning_is_the_dense_partial_trace(rho):
+    # the photon-number path thins to the diagonal of the dense reduced output
     out = bs_output(rho)
-    thinned = binomial_thinning(fock_weights(rho))
+    _, child = nonclassicality._layer(rho, thin=True)
+    thinned = fock_weights(child)
+    assert np.all(l1_coherence(child) == 0.0)
+    _, dense = gathered(rho, diagonal=False)
+    assert np.max(np.abs(dense - child.matrix)) < 1e-15
     for kept in out.layout.labels:
         reduced = partial_trace(out, {kept})
         assert np.all(l1_coherence(reduced) == 0.0)
@@ -207,11 +230,12 @@ def test_binomial_thinning_is_the_dense_partial_trace(rho):
 def test_photon_difference_blocks_are_the_dense_partial_transpose(rho):
     # block delta sits on |k, k - delta>, block -delta on |k - delta, k>;
     # the similarity i^k on the mode's photon number makes both real, and
-    # every entry outside the blocks is exactly zero
+    # every entry outside the blocks is exactly zero; the whole gathered
+    # partial transpose is the similarity i^j on the ancilla's
     d = rho.layout.dim
     pt = partial_transpose(bs_output(rho), "f0")
     covered = np.zeros((d * d, d * d), dtype=bool)
-    for delta, block in enumerate(photon_difference_blocks(fock_weights(rho))):
+    for delta, block in enumerate(gathered(rho, diagonal=True)[0]):
         k = np.arange(delta, d)
         phase = np.array([1, 1j, -1, -1j])[k % 4]
         for idx in (k * d + (k - delta), (k - delta) * d + k):
@@ -219,6 +243,10 @@ def test_photon_difference_blocks_are_the_dense_partial_transpose(rho):
             assert np.max(np.abs(np.conj(phase)[:, None] * sub * phase - block)) < 1e-15
             covered[idx[:, None], idx[None, :]] = True
     assert np.all(pt[..., ~covered] == 0.0)
+    (whole,), _ = gathered(rho, diagonal=False)
+    phase = np.tile(np.array([1, 1j, -1, -1j])[np.arange(d) % 4], d)
+    assert np.max(np.abs(np.conj(phase)[:, None] * pt * phase - whole)) < 1e-15
+    assert np.all(whole[..., ~covered] == 0.0)
 
 
 @PROPERTY
