@@ -29,7 +29,6 @@ from .nonclassicality import (
     CascadeReport,
     cascade,
     depletion_ratios,
-    entanglement_potential,
     extrapolate_total,
     total_nonclassicality,
 )
@@ -53,7 +52,6 @@ __all__ = [
     "CascadeReport",
     "cascade",
     "depletion_ratios",
-    "entanglement_potential",
     "extrapolate_total",
     "total_nonclassicality",
     "ScenarioConfig",

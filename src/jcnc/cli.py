@@ -22,8 +22,6 @@ from . import engine, oracle
 from .hilbert import StateValidationError, l1_coherence, negativity
 from .nonclassicality import MAX_CASCADE_LAYERS, cascade, extrapolate_total, total_nonclassicality
 
-CASES = ("A", "B", "C", "D")
-
 EXIT_OK = 0
 EXIT_CONFIG = 2
 EXIT_NUMERICAL = 3
@@ -91,47 +89,43 @@ def _require_int(values: dict, key: str, default: int) -> int:
     return v
 
 
-def parse_config(source) -> ScenarioConfig:
-    """Validate a JSON document (text or dict) into a ScenarioConfig."""
-    if isinstance(source, str):
-        try:
-            values = json.loads(source)
-        except json.JSONDecodeError as exc:
-            raise ConfigError(f"malformed config document: {exc}") from exc
-    else:
-        values = dict(source)
+def _document(source) -> dict:
+    """The values of a config document: JSON text, where an empty or
+    whitespace-only text is the empty object, or a mapping."""
+    if not isinstance(source, str):
+        return dict(source)
+    try:
+        values = json.loads(source) if source.strip() else {}
+    except json.JSONDecodeError as exc:
+        raise ConfigError(f"malformed config document: {exc}") from exc
     if not isinstance(values, dict):
         raise ConfigError("config document must be a JSON object")
-    values = {k: v for k, v in values.items() if v is not None}
+    return values
+
+
+def parse_config(source) -> ScenarioConfig:
+    """Validate a JSON document (text or dict) into a ScenarioConfig.
+
+    The case and its parameters are judged by engine.ScenarioCase.
+    """
+    values = {k: v for k, v in _document(source).items() if v is not None}
     unknown = set(values) - _CONFIG_KEYS
     if unknown:
         raise ConfigError(f"unknown config keys: {sorted(unknown)}")
     if "case" not in values:
         raise ConfigError("field 'case' is required")
-    case = str(values["case"]).upper()
-    if case not in CASES:
-        raise ConfigError(f"field 'case': must be one of {CASES}, got {values['case']!r}")
-
-    field_dim = _require_int(values, "field_dim", 2 if case == "A" else 3)
-    if field_dim < 2:
-        raise ConfigError(f"field 'field_dim': must be >= 2, got {field_dim}")
-    if case != "A" and field_dim < 3:
-        raise ConfigError(f"field 'field_dim': case {case} needs >= 3, got {field_dim}")
-
     mean_photon = _require_number(values, "mean_photon")
     alpha = _require_number(values, "alpha")
-    if case == "C":
-        if mean_photon is None:
-            raise ConfigError("field 'mean_photon': required for case C")
-        if mean_photon <= 0:
-            raise ConfigError(f"field 'mean_photon': must be > 0, got {mean_photon}")
-    elif mean_photon is not None:
-        raise ConfigError(f"field 'mean_photon': not valid for case {case}")
-    if case == "D":
-        if alpha is None:
-            raise ConfigError("field 'alpha': required for case D")
-    elif alpha is not None:
-        raise ConfigError(f"field 'alpha': not valid for case {case}")
+    try:
+        scenario = engine.ScenarioCase(str(values["case"]).upper(), mean_photon, alpha)
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from exc
+    case = scenario.case
+    field_dim = _require_int(values, "field_dim", scenario.min_field_dim)
+    if field_dim < scenario.min_field_dim:
+        raise ConfigError(
+            f"field 'field_dim': case {case} needs >= {scenario.min_field_dim}, got {field_dim}"
+        )
 
     t_max = _require_number(values, "t_max", 2.0 * math.pi)
     if t_max <= 0:
@@ -389,7 +383,7 @@ def build_parser() -> argparse.ArgumentParser:
         description="Jaynes-Cummings nonclassicality scenario runner",
     )
     p.add_argument("--config", help="JSON config file; flags override its values")
-    p.add_argument("--case", choices=CASES)
+    p.add_argument("--case", choices=engine.ScenarioCase.CASES)
     p.add_argument("--field-dim", type=int, dest="field_dim")
     p.add_argument("--mean-photon", type=float, dest="mean_photon")
     p.add_argument("--alpha", type=float)
@@ -419,14 +413,11 @@ def main(argv=None) -> int:
             except OSError as exc:
                 print(f"error: cannot read config {args.config}: {exc}", file=sys.stderr)
                 return EXIT_CONFIG
-            parsed = json.loads(text) if text.strip() else {}
-            if not isinstance(parsed, dict):
-                raise ConfigError("config document must be a JSON object")
-            values.update(parsed)
+            values = _document(text)
         flags = vars(args)
         values.update((k, flags[k]) for k in _CONFIG_KEYS if flags[k] is not None)
         cfg = parse_config(values)
-    except (ConfigError, json.JSONDecodeError, ValueError) as exc:
+    except ValueError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
 

@@ -12,6 +12,7 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass
+from typing import ClassVar
 
 import numpy as np
 
@@ -39,7 +40,9 @@ COHERENT_TAIL_TOL = 1e-3
 
 @dataclass(frozen=True)
 class ScenarioCase:
-    """One of the four initial-state cases.
+    """One of the four initial-state cases, and the one rule for their
+    parameters: C requires mean_photon > 0 and D alpha, every case refuses
+    a parameter it does not take, and each refusal names the field.
 
     A: vacuum field, excited atom.
     B: Fock field |2>, ground atom.
@@ -47,19 +50,30 @@ class ScenarioCase:
     D: coherent field (alpha), excited atom.
     """
 
+    CASES: ClassVar[tuple[str, ...]] = ("A", "B", "C", "D")
+
     case: str
     mean_photon: float | None = None
     alpha: complex | None = None
 
     def __post_init__(self):
-        if self.case not in ("A", "B", "C", "D"):
-            raise ValueError(f"unknown case {self.case!r}")
-        if self.case == "C" and (self.mean_photon is None or self.mean_photon <= 0):
-            raise ValueError("case C requires mean_photon > 0")
-        if self.case == "D" and self.alpha is None:
-            raise ValueError("case D requires alpha")
-        if self.case in ("A", "B") and (self.mean_photon is not None or self.alpha is not None):
-            raise ValueError(f"case {self.case} takes no extra parameters")
+        if self.case not in self.CASES:
+            raise ValueError(f"field 'case': must be one of {self.CASES}, got {self.case!r}")
+        takes = {"C": "mean_photon", "D": "alpha"}.get(self.case)
+        for name in ("mean_photon", "alpha"):
+            given = getattr(self, name) is not None
+            if name == takes and not given:
+                raise ValueError(f"field {name!r}: required for case {self.case}")
+            if name != takes and given:
+                raise ValueError(f"field {name!r}: not valid for case {self.case}")
+        if self.case == "C" and not self.mean_photon > 0:
+            raise ValueError(f"field 'mean_photon': must be > 0, got {self.mean_photon}")
+
+    @property
+    def min_field_dim(self) -> int:
+        """Smallest field dimension of the case: 2 for the vacuum, 3 for the
+        others, whose field reaches |2> or keeps the top level empty."""
+        return 2 if self.case == "A" else 3
 
 
 def jc_layout(d: int) -> ModeLayout:
@@ -138,12 +152,12 @@ def truncated_coherent(alpha: complex, d: int) -> StateVector:
 
 def initial_state(case: ScenarioCase, d: int) -> DensityOperator:
     """Composite field (x) atom initial state for one of the four cases."""
+    if d < case.min_field_dim:
+        raise DimensionError(f"case {case.case} needs field_dim >= {case.min_field_dim}, got {d}")
     layout = jc_layout(d)
     if case.case == "A":
         vec = tensor([fock(0, d), fock(1, 2)])
         return StateVector(layout, vec).density()
-    if d < 3:
-        raise DimensionError(f"case {case.case} needs field_dim >= 3, got {d}")
     if case.case == "B":
         vec = tensor([fock(2, d), fock(0, 2)])
         return StateVector(layout, vec).density()

@@ -130,31 +130,25 @@ class DensityOperator:
         d = self.layout.dim
         if m.shape[-2:] != (d, d):
             raise ShapeError(f"matrix shape {m.shape} != (..., {d}, {d})")
-        diag = density_diagnostics(m, PSD_TOL)
-        if not diag.hermiticity_deviation <= HERMITICITY_TOL:
+        diag = density_diagnostics(m)
+        if not diag.ok:
             raise StateValidationError(
-                f"hermiticity deviation {diag.hermiticity_deviation:.3e} > {HERMITICITY_TOL}"
-            )
-        if not diag.trace_deviation <= TRACE_TOL:
-            raise StateValidationError(
-                f"trace deviation {diag.trace_deviation:.3e} > {TRACE_TOL}"
-            )
-        if not diag.min_eigenvalue >= -PSD_TOL:
-            raise StateValidationError(
-                f"most negative eigenvalue {diag.min_eigenvalue:.3e} < -{PSD_TOL}"
+                f"hermiticity deviation {diag.hermiticity_deviation:.3e} (tol {HERMITICITY_TOL}), "
+                f"trace deviation {diag.trace_deviation:.3e} (tol {TRACE_TOL}), "
+                f"most negative eigenvalue {diag.min_eigenvalue:.3e} (tol -{PSD_TOL})"
             )
         object.__setattr__(self, "matrix", m)
 
 
 @dataclass(frozen=True)
 class DensityDiagnostics:
-    """Report of the three density-operator invariants against a tolerance,
-    at the worst matrix of a stack for each."""
+    """Report of the three density-operator invariants, at the worst matrix
+    of a stack for each; `ok` judges each against its construction
+    tolerance (HERMITICITY_TOL, TRACE_TOL, PSD_TOL)."""
 
     hermiticity_deviation: float
     trace_deviation: float
     min_eigenvalue: float
-    tol: float
     ok: bool
 
 
@@ -328,13 +322,13 @@ def l1_coherence(rho: DensityOperator):
     return np.sum(np.abs(rho.matrix[..., ~np.eye(n, dtype=bool)]), axis=-1)[()]
 
 
-def density_diagnostics(rho, tol: float = PSD_TOL) -> DensityDiagnostics:
+def density_diagnostics(rho) -> DensityDiagnostics:
     """Invariant check of a DensityOperator or a raw (..., n, n) stack of
-    square matrices; never raises."""
+    square matrices, by the rule DensityOperator enforces; never raises."""
     m = np.asarray(rho.matrix if isinstance(rho, DensityOperator) else rho, dtype=complex)
     if m.size == 0:
         # an empty stack holds no matrix that could break an invariant
-        return DensityDiagnostics(0.0, 0.0, np.inf, tol, True)
+        return DensityDiagnostics(0.0, 0.0, np.inf, True)
     # a non-finite entry yields NaN deviations, reported as not ok
     with np.errstate(invalid="ignore", over="ignore"):
         herm = float(np.max(np.abs(m - dagger(m))))
@@ -344,5 +338,5 @@ def density_diagnostics(rho, tol: float = PSD_TOL) -> DensityDiagnostics:
         # on NaN
         h = 0.5 * (m + dagger(m))
         min_eig = float(np.min(_eigvalsh(h))) if np.isfinite(herm) else np.nan
-    ok = herm <= tol and trace_dev <= tol and min_eig >= -tol
-    return DensityDiagnostics(herm, trace_dev, min_eig, tol, ok)
+    ok = herm <= HERMITICITY_TOL and trace_dev <= TRACE_TOL and min_eig >= -PSD_TOL
+    return DensityDiagnostics(herm, trace_dev, min_eig, ok)

@@ -142,12 +142,6 @@ def _layer(rho_mode: DensityOperator, thin: bool):
     return potential, DensityOperator(rho_mode.layout, child)
 
 
-def entanglement_potential(rho_mode: DensityOperator):
-    """Negativity across the beam-splitter output bipartition, on the
-    photon-number path for an exactly Fock-diagonal stack."""
-    return _layer(rho_mode, thin=False)[0]
-
-
 @dataclass(frozen=True)
 class CascadeReport:
     """Per-layer potentials for one subsystem's cascade.
@@ -171,7 +165,8 @@ def cascade(rho_mode: DensityOperator, layers: int) -> CascadeReport:
     local phase rotation exp(-i pi n/2), which leaves the potential
     unchanged. So each layer is one beam splitter, on the state thinned by
     every layer before it, and its sum is 2^(l-1) times that splitter's
-    potential.
+    potential. The single-layer entanglement potential, the negativity
+    across one splitter's output, is `cascade(rho_mode, 1).layer_sums[0]`.
     """
     if layers < 1:
         raise ValueError(f"need at least one layer, got {layers}")

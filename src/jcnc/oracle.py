@@ -56,7 +56,7 @@ def _n_c(T):
 
 
 def _n_f(T):
-    return -0.25 * (1.0 + np.cos(2.0 * T) - np.sqrt(3.0 + np.cos(4.0 * T)))
+    return chi(T) - 0.25 * (1.0 + np.cos(2.0 * T))
 
 
 def _n_f1(T):

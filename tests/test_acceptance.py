@@ -28,7 +28,6 @@ from jcnc.hilbert import (
 from jcnc.nonclassicality import (
     cascade,
     depletion_ratios,
-    entanglement_potential,
     total_nonclassicality,
 )
 
@@ -101,8 +100,8 @@ def test_criterion_2_fock_potentials():
     with criterion(2, "Fock-state entanglement potentials 1/2 and (1+2*sqrt(2))/4"):
         one = StateVector(single_mode("f", 3), fock(1, 3)).density()
         two = StateVector(single_mode("f", 3), fock(2, 3)).density()
-        assert abs(entanglement_potential(one) - 0.5) < 1e-10
-        assert abs(entanglement_potential(two) - (1 + 2 * SQRT2) / 4) < 1e-10
+        assert abs(cascade(one, 1).layer_sums[0] - 0.5) < 1e-10
+        assert abs(cascade(two, 1).layer_sums[0] - (1 + 2 * SQRT2) / 4) < 1e-10
 
 
 def test_criterion_3_periods_and_exchange(case_a_data):

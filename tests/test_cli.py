@@ -24,7 +24,7 @@ from jcnc.cli import (
     time_grid,
     write_outputs,
 )
-from jcnc.hilbert import negativity, partial_trace
+from jcnc.hilbert import DimensionError, negativity, partial_trace
 from jcnc.nonclassicality import cascade
 
 from jc_operators import bs_output
@@ -101,6 +101,50 @@ class TestParseConfig:
         assert parse_config({"case": "A", "n_points": largest}).n_points == largest
         with pytest.raises(ConfigError, match="n_points"):
             parse_config({"case": "A", "n_points": largest + 1})
+
+    @pytest.mark.parametrize("alpha", [None, 0.2])
+    @pytest.mark.parametrize("mean_photon", [None, 0.3])
+    @pytest.mark.parametrize("case", ["A", "B", "C", "D"])
+    def test_case_parameters_follow_the_scenario_case(self, case, mean_photon, alpha):
+        try:
+            engine.ScenarioCase(case, mean_photon, alpha)
+            accepted = True
+        except ValueError:
+            accepted = False
+        values = {"case": case, "mean_photon": mean_photon, "alpha": alpha}
+        if accepted:
+            assert parse_config(values).case == case
+        else:
+            with pytest.raises(ConfigError, match="mean_photon|alpha"):
+                parse_config(values)
+
+    @pytest.mark.parametrize(
+        "case, params, least",
+        [("A", {}, 2), ("B", {}, 3), ("C", {"mean_photon": 0.3}, 3), ("D", {"alpha": 0.2}, 3)],
+    )
+    def test_minimum_field_dim_is_one_rule(self, case, params, least, tmp_path, monkeypatch):
+        scenario = engine.ScenarioCase(case, **params)
+        assert parse_config({"case": case, **params}).field_dim == least
+        assert engine.initial_state(scenario, least).matrix.shape == (2 * least, 2 * least)
+        with pytest.raises(ConfigError, match="field_dim"):
+            parse_config({"case": case, "field_dim": least - 1, **params})
+        monkeypatch.setattr(cli, "run_scenario", lambda cfg: pytest.fail("run started"))
+        flags = [f"--{k.replace('_', '-')}={v}" for k, v in params.items()]
+        args = ["--case", case, "--field-dim", str(least - 1), *flags]
+        assert main(args + ["--output-prefix", str(tmp_path / "x")]) == 2
+        with pytest.raises(DimensionError):
+            engine.initial_state(scenario, least - 1)
+
+    @pytest.mark.parametrize("text", ["", " \n\t "], ids=["empty", "whitespace"])
+    def test_blank_document_lacks_only_the_case(self, text, tmp_path, capsys):
+        with pytest.raises(ConfigError, match="'case' is required"):
+            parse_config(text)
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(text)
+        assert main(["--config", str(cfg_path)]) == 2
+        assert "'case' is required" in capsys.readouterr().err
+        args = ["--case", "A", "--n-points", "3", "--output-prefix", str(tmp_path / "x")]
+        assert main(["--config", str(cfg_path), *args]) == 0
 
     def test_integral_float_accepted(self):
         cfg = parse_config({"case": "A", "n_points": 401.0, "field_dim": 2.0, "layers": 3.0})

@@ -107,7 +107,7 @@ class TestEvolve:
         rho0 = initial_state(ScenarioCase("C", mean_photon=0.3), 4)
         spec0 = np.sort(np.linalg.eigvalsh(rho0.matrix))
         rho = evolve(rho0, 2.1)
-        assert density_diagnostics(rho, 1e-10).ok
+        assert density_diagnostics(rho).ok
         assert np.allclose(np.sort(np.linalg.eigvalsh(rho.matrix)), spec0, atol=1e-10)
 
     def test_group_property(self):
@@ -214,6 +214,10 @@ class TestInitialStates:
             ScenarioCase("A", alpha=0.1)
         with pytest.raises(ValueError):
             ScenarioCase("E")
+        with pytest.raises(ValueError, match="alpha"):
+            ScenarioCase("C", mean_photon=0.1, alpha=0.3)
+        with pytest.raises(ValueError, match="mean_photon"):
+            ScenarioCase("D", alpha=0.1, mean_photon=0.3)
 
 
 class TestTruncatedThermal:

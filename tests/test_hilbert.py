@@ -352,14 +352,14 @@ class TestCoherence:
 
 class TestValidateDensity:
     def test_maximally_mixed(self):
-        diag = density_diagnostics(np.eye(2) / 2, tol=1e-9)
+        diag = density_diagnostics(np.eye(2) / 2)
         assert diag.hermiticity_deviation == 0.0
         assert diag.trace_deviation == 0.0
         assert diag.min_eigenvalue >= 0.0
         assert diag.ok
 
     def test_bad_trace_flagged(self):
-        diag = density_diagnostics(np.diag([0.6, 0.5]), tol=1e-9)
+        diag = density_diagnostics(np.diag([0.6, 0.5]))
         assert abs(diag.trace_deviation - 0.1) < 1e-12
         assert not diag.ok
         assert not density_diagnostics(np.full((3, 3), np.nan)).ok
@@ -380,7 +380,28 @@ class TestValidateDensity:
         with pytest.raises(StateValidationError):
             DensityOperator(single_mode("f", 2), m)
 
+    @pytest.mark.parametrize(
+        "m, accepted",
+        [
+            (np.array([[0.5, 1e-11], [0.0, 0.5]]), False),
+            (np.array([[0.5, 1e-13], [0.0, 0.5]]), True),
+            (np.diag([0.5 + 1e-11, 0.5]), False),
+            (np.diag([0.5 + 1e-13, 0.5]), True),
+            (np.diag([1 + 1e-9, -1e-9]), False),
+            (np.diag([1 + 1e-11, -1e-11]), True),
+        ],
+        ids=["herm-1e-11", "herm-1e-13", "trace-1e-11", "trace-1e-13", "eig-1e-9", "eig-1e-11"],
+    )
+    def test_ok_exactly_when_construction_accepts(self, m, accepted):
+        try:
+            DensityOperator(single_mode("f", 2), m)
+            constructed = True
+        except StateValidationError:
+            constructed = False
+        assert constructed == accepted
+        assert density_diagnostics(m).ok == accepted
+
     def test_accepts_density_operator(self):
         rng = np.random.default_rng(17)
         rho = random_density(rng, single_mode("f", 4))
-        assert density_diagnostics(rho, tol=1e-10).ok
+        assert density_diagnostics(rho).ok

@@ -18,7 +18,6 @@ from jcnc import nonclassicality
 from jcnc.nonclassicality import (
     cascade,
     depletion_ratios,
-    entanglement_potential,
     extrapolate_total,
     splitting_probabilities,
     total_nonclassicality,
@@ -163,18 +162,18 @@ class TestBsOutput:
 
 class TestEntanglementPotential:
     def test_fock_one(self):
-        assert abs(entanglement_potential(fock_state(1, 3)) - 0.5) < 1e-10
+        assert abs(cascade(fock_state(1, 3), 1).layer_sums[0] - 0.5) < 1e-10
 
     def test_fock_two(self):
         expected = (1 + 2 * SQRT2) / 4
-        assert abs(entanglement_potential(fock_state(2, 3)) - expected) < 1e-10
+        assert abs(cascade(fock_state(2, 3), 1).layer_sums[0] - expected) < 1e-10
 
     def test_maximally_mixed_qubit_mode(self):
         expected = (SQRT2 - 1) / 4
-        assert abs(entanglement_potential(mode_state([0.5, 0.5])) - expected) < 1e-10
+        assert abs(cascade(mode_state([0.5, 0.5]), 1).layer_sums[0] - expected) < 1e-10
 
     def test_vacuum_zero(self):
-        assert entanglement_potential(fock_state(0, 3)) == 0.0
+        assert cascade(fock_state(0, 3), 1).layer_sums[0] == 0.0
 
     def test_phase_rotation_invariance(self):
         rng = np.random.default_rng(31)
@@ -182,11 +181,11 @@ class TestEntanglementPotential:
         amps = rng.normal(size=d) + 1j * rng.normal(size=d)
         amps /= np.linalg.norm(amps)
         base = StateVector(single_mode("f", d), amps).density()
-        ref = entanglement_potential(base)
+        ref = cascade(base, 1).layer_sums[0]
         for theta in rng.uniform(0, 2 * np.pi, size=5):
             u = np.diag(np.exp(-1j * theta * np.arange(d)))
             rotated = DensityOperator(base.layout, u @ base.matrix @ u.conj().T)
-            assert abs(entanglement_potential(rotated) - ref) < 1e-10
+            assert abs(cascade(rotated, 1).layer_sums[0] - ref) < 1e-10
 
 
 class TestCascade:
@@ -275,8 +274,8 @@ class TestPathSelection:
         rho = mode_state(p / p.sum(axis=-1, keepdims=True))
         diagonal, children = record_layers(monkeypatch)
         cascade(rho, 4)
-        entanglement_potential(rho)
-        entanglement_potential(fock_state(2, 3))
+        cascade(rho, 1)
+        cascade(fock_state(2, 3), 1)
         assert diagonal == [True] * 6
         thinned = [child for child in children if child is not None]
         assert len(thinned) == 3
