@@ -30,16 +30,16 @@ EXIT_IO = 4
 ORACLE_TOL_EXACT = 1e-9      # cases A and B (closed forms are exact)
 ORACLE_TOL_REDUCED = 1e-8    # cases C and D (reduced-matrix transcriptions)
 
-# Byte budget of the largest stack of a time chunk, a dense cascade layer's
-# gathered partial transposes of the beam-splitter output: field_dim^4
-# complex values per time point, at any depth. Each chunk pays a fixed
-# numpy dispatch cost per stage, which 64 KiB (50 points at field_dim 3)
-# did not amortize; 512 KiB raised peak memory.
+# Byte budget of the largest stack of a time chunk: point_bytes per time
+# point, on the cascade path the case takes, at any depth. Each chunk pays a
+# fixed numpy dispatch cost per stage, which 64 KiB chunks did not amortize;
+# 512 KiB on the dense path, or 1,024-point chunks on the photon-number path
+# at field_dim 3, raised peak memory.
 CHUNK_BYTES = 256 * 1024
 
 # Largest single array a run allocates: the (n_points, n_columns) result
-# array, or one time point's gathered partial transpose (a chunk holds at
-# least one point), which also bounds each cached gather table. A config
+# array, or, by guard_bytes, one time point's largest array (a chunk holds
+# at least one point) and the cascade path's cached gather tables. A config
 # above it is refused before anything is allocated.
 MAX_ARRAY_BYTES = 64 * 1024**2
 
@@ -136,11 +136,11 @@ def parse_config(source) -> ScenarioConfig:
     layers = _require_int(values, "layers", 2)
     if not 1 <= layers <= MAX_CASCADE_LAYERS:
         raise ConfigError(f"field 'layers': must be in [1, {MAX_CASCADE_LAYERS}], got {layers}")
-    if point_bytes(field_dim) > MAX_ARRAY_BYTES:
+    need = guard_bytes(field_dim, scenario.fock_diagonal)
+    if need > MAX_ARRAY_BYTES:
         raise ConfigError(
-            f"field 'field_dim': {field_dim} needs {point_bytes(field_dim)} bytes "
-            f"of partial transpose per time point, above the "
-            f"{MAX_ARRAY_BYTES}-byte limit"
+            f"field 'field_dim': case {case} at {field_dim} needs a {need}-byte "
+            f"array or gather table, above the {MAX_ARRAY_BYTES}-byte limit"
         )
     # the result array holds at most one float column per CSV column
     result_bytes = n_points * len(csv_columns(layers)) * np.dtype(float).itemsize
@@ -180,15 +180,33 @@ def time_grid(cfg: ScenarioConfig) -> np.ndarray:
     return np.linspace(0.0, cfg.t_max, cfg.n_points)
 
 
-def point_bytes(field_dim: int) -> int:
-    """Bytes of one time point's gathered partial transpose of the
-    beam-splitter output, the d^2 x d^2 complex matrix of a dense layer."""
-    return field_dim**4 * np.dtype(complex).itemsize
+def point_bytes(field_dim: int, diagonal: bool) -> int:
+    """Bytes of one time point's largest array on a cascade path. A dense
+    layer gathers the beam-splitter output's partial transpose, a d^2 x d^2
+    complex matrix. The photon-number path (`diagonal`, see
+    engine.ScenarioCase.fock_diagonal) forms no d^4 array; its largest is
+    the (2d) x (2d) complex composite state."""
+    values = (2 * field_dim) ** 2 if diagonal else field_dim**4
+    return values * np.dtype(complex).itemsize
 
 
-def chunk_points(field_dim: int) -> int:
+def guard_bytes(field_dim: int, diagonal: bool) -> int:
+    """Bytes that MAX_ARRAY_BYTES bounds for a field on a cascade path:
+    point_bytes, or the path's cached gather tables where they hold more.
+    Each dense table is half a point's partial transpose. The photon-number
+    path caches an index and a coefficient array for each of its d blocks,
+    m x m for m = 1..d, sum m^2 * 16 ~ 5.3 d^3 bytes in all, which
+    outgrows point_bytes from field_dim 11 on."""
+    if not diagonal:
+        return point_bytes(field_dim, False)
+    entries = field_dim * (field_dim + 1) * (2 * field_dim + 1) // 6
+    table_bytes = entries * (np.dtype(np.intp).itemsize + np.dtype(float).itemsize)
+    return max(point_bytes(field_dim, True), table_bytes)
+
+
+def chunk_points(field_dim: int, diagonal: bool) -> int:
     """Time points per chunk, so the chunk's largest stack fits CHUNK_BYTES."""
-    return max(1, CHUNK_BYTES // point_bytes(field_dim))
+    return max(1, CHUNK_BYTES // point_bytes(field_dim, diagonal))
 
 
 @dataclass(frozen=True)
@@ -257,10 +275,9 @@ def run_scenario(cfg: ScenarioConfig) -> ScenarioResult:
     values = np.empty((len(times), len(columns)))
     closed = _closed_forms(cfg)
     errors: dict[str, float] = {}
-    rho0 = engine.initial_state(
-        engine.ScenarioCase(cfg.case, cfg.mean_photon, cfg.alpha), cfg.field_dim
-    )
-    step = chunk_points(cfg.field_dim)
+    scenario = engine.ScenarioCase(cfg.case, cfg.mean_photon, cfg.alpha)
+    rho0 = engine.initial_state(scenario, cfg.field_dim)
+    step = chunk_points(cfg.field_dim, scenario.fock_diagonal)
     for start in range(0, len(times), step):
         ts = times[start:start + step]
         rho = engine.evolve(rho0, ts)

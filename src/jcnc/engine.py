@@ -75,6 +75,16 @@ class ScenarioCase:
         others, whose field reaches |2> or keeps the top level empty."""
         return 2 if self.case == "A" else 3
 
+    @property
+    def fock_diagonal(self) -> bool:
+        """Whether the initial state has no coherence between excitation
+        sectors at any parameter value: true for the vacuum (A), Fock |2>
+        (B) and thermal (C) fields, false for a coherent field (D).
+        Excitation conservation then keeps every reduced state, and every
+        state a cascade thins from it, exactly Fock-diagonal, so each
+        cascade layer takes the photon-number path."""
+        return self.case != "D"
+
 
 def jc_layout(d: int) -> ModeLayout:
     return ModeLayout(((FIELD, d), (ATOM, 2)))

@@ -4,7 +4,9 @@ Dense operators on tensor products of small mode spaces: Fock vectors,
 Kronecker composition, partial trace / partial transpose, Hermitian
 spectra (solved per exact block of the nonzero pattern), negativity, and
 l1-coherence. Everything is a pure function of immutable inputs. Matrices
-stay small (total dimension <~ 64) but come in stacks: operator arrays
+are at most a few thousand wide (the runner's size guard allows a
+2025-wide dense partial transpose, at field dimension 45, and a 464-wide
+composite state, at 232) but come in stacks: operator arrays
 have shape (..., D, D), leading axes are batch axes (time points), and
 every function maps each matrix of a stack independently, with one numpy
 call per stack.
@@ -18,10 +20,11 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-# Validation tolerances for density operators.
+# Validation tolerances for density operators and state vectors.
 HERMITICITY_TOL = 1e-12
 TRACE_TOL = 1e-12
 PSD_TOL = 1e-10
+NORM_TOL = 1e-12
 
 # Eigenvalues of a partial transpose above this floor count as zero, so
 # floating-point noise never registers as entanglement.
@@ -103,9 +106,9 @@ class StateVector:
             raise ShapeError(
                 f"amplitude length {amps.size} != layout dim {self.layout.dim}"
             )
-        if not abs(np.linalg.norm(amps) - 1.0) <= 1e-12:
+        if not abs(np.linalg.norm(amps) - 1.0) <= NORM_TOL:
             raise StateValidationError(
-                f"state norm {np.linalg.norm(amps)} deviates from 1 beyond 1e-12"
+                f"state norm {np.linalg.norm(amps)} deviates from 1 beyond {NORM_TOL}"
             )
         object.__setattr__(self, "amplitudes", amps)
 

@@ -87,13 +87,26 @@ class TestParseConfig:
             parse_config('{"case": "B", "field_dim": 2}')
 
     def test_point_bytes_guard(self):
-        # field_dim^4 complex values per time point, at any depth
-        assert cli.point_bytes(200) == 200**4 * 16
-        largest = int((cli.MAX_ARRAY_BYTES / 16) ** 0.25)
-        assert parse_config({"case": "A", "field_dim": largest, "layers": 1}).field_dim == largest
-        assert parse_config({"case": "A", "field_dim": largest, "layers": 6}).field_dim == largest
-        with pytest.raises(ConfigError, match="field_dim"):
-            parse_config({"case": "A", "field_dim": largest + 1, "layers": 1})
+        # a dense layer gathers field_dim^4 complex values per time point, at
+        # any depth; on the photon-number path the largest point array is the
+        # (2 field_dim)^2 complex composite state, and the cached blocks hold
+        # sum m^2 (index, coefficient) pairs for m = 1..field_dim
+        assert cli.point_bytes(200, False) == cli.guard_bytes(200, False) == 200**4 * 16
+        assert cli.point_bytes(200, True) == 400**2 * 16
+        assert cli.guard_bytes(200, True) == sum(m * m for m in range(1, 201)) * 16
+        dense = int((cli.MAX_ARRAY_BYTES / 16) ** 0.25)
+        diagonal = max(
+            d for d in range(2, 400) if sum(m * m for m in range(1, d + 1)) * 16 <= cli.MAX_ARRAY_BYTES
+        )
+        assert (dense, diagonal) == (45, 232)
+        for params, largest in (({"case": "A"}, diagonal), ({"case": "D", "alpha": 1.0}, dense)):
+            for layers in (1, 6):
+                cfg = parse_config({**params, "field_dim": largest, "layers": layers})
+                assert cfg.field_dim == largest
+            with pytest.raises(ConfigError, match="field_dim"):
+                parse_config({**params, "field_dim": largest + 1, "layers": 1})
+        # the thermal field, refused there before, takes the photon-number path
+        assert parse_config({"case": "C", "mean_photon": 1.0, "field_dim": 45}).field_dim == 45
 
     def test_result_array_guard(self):
         # one float64 per grid time and CSV column
@@ -226,21 +239,32 @@ class TestRunScenario:
             child_potential = negativity(child, child.layout.labels[1])
             assert np.max(np.abs(result.column(second) - 2 * child_potential)) < 1e-12
 
-    def test_chunked_run_matches_per_point_calls(self, monkeypatch):
+    @pytest.mark.parametrize(
+        "params, field_dim, layers, chunk_bytes",
+        [({"case": "A"}, 2, 6, 16 * 1024), ({"case": "C", "mean_photon": 1.0}, 12, 2, 64 * 1024)],
+        ids=["A", "C-dim-12"],
+    )
+    def test_chunked_run_matches_per_point_calls(
+        self, params, field_dim, layers, chunk_bytes, monkeypatch
+    ):
         # a grid of three chunks against batch-of-one calls at every time;
         # small chunks keep the per-point calls few
-        monkeypatch.setattr(cli, "CHUNK_BYTES", 16 * 1024)
-        step = chunk_points(2)
-        cfg = make_config(layers=6, n_points=2 * step + 3)
+        monkeypatch.setattr(cli, "CHUNK_BYTES", chunk_bytes)
+        scenario = engine.ScenarioCase(**params)
+        step = chunk_points(field_dim, scenario.fock_diagonal)
+        assert step > 1
+        cfg = make_config(**params, field_dim=field_dim, layers=layers, n_points=2 * step + 3)
         result = run_scenario(cfg)
         grid = time_grid(cfg)
-        rho0 = engine.initial_state(engine.ScenarioCase("A"), 2)
-        whole_grid = [cascade(r, 6) for r in engine.reduced_states(engine.evolve(rho0, grid))]
-        sums = ["N_f"] + [f"res_f_{n}" for n in range(2, 7)]
-        sums += ["N_a"] + [f"res_a_{n}" for n in range(2, 7)]
+        rho0 = engine.initial_state(scenario, field_dim)
+        whole_grid = [
+            cascade(r, layers) for r in engine.reduced_states(engine.evolve(rho0, grid))
+        ]
+        sums = ["N_f"] + [f"res_f_{n}" for n in range(2, layers + 1)]
+        sums += ["N_a"] + [f"res_a_{n}" for n in range(2, layers + 1)]
         for k, T in enumerate(grid):
             rho = engine.evolve(rho0, float(T))
-            reports = [cascade(r, 6) for r in engine.reduced_states(rho)]
+            reports = [cascade(r, layers) for r in engine.reduced_states(rho)]
             assert result.column("T")[k] == T
             assert abs(result.column("N_c")[k] - negativity(rho, "a")) < 1e-12
             got = [result.column(name)[k] for name in sums]
@@ -320,7 +344,7 @@ class TestCompareWithOracle:
         assert any("as-printed" in note for note in report["notes"])
 
     def test_case_c_reduced_match(self):
-        n_points = 2 * chunk_points(3) + 5   # three chunks
+        n_points = 2 * chunk_points(3, True) + 5   # three chunks
         cfg = make_config(case="C", mean_photon=0.01, n_points=n_points)
         report = compare_with_oracle(run_scenario(cfg), cfg)
         assert not report["any_flagged"]
@@ -399,7 +423,7 @@ class TestCompareWithOracle:
             return evolve(rho0, T)
 
         monkeypatch.setattr(engine, "evolve", counting_evolve)
-        n_points = 2 * chunk_points(3) + 5   # three chunks
+        n_points = 2 * chunk_points(3, True) + 5   # three chunks
         args = ["--case", "C", "--mean-photon", "0.01", "--n-points", str(n_points)]
         prefix = str(tmp_path / "c")
         assert main(args + ["--oracle-compare", "--output-prefix", prefix]) == 0
@@ -448,14 +472,14 @@ class TestMain:
             ["--case", "C", "--mean-photon", "inf"],
             ["--case", "D", "--alpha", "nan"],
             ["--case", "B", "--oracle-case-b-frequency", "inf"],
-            ["--case", "A", "--field-dim", "200"],
+            ["--case", "A", "--field-dim", "300"],
             ["--case", "D", "--alpha", "3", "--field-dim", "200"],
             ["--case", "A", "--t-max", "5e307", "--oracle-compare"],
             ["--case", "B", "--oracle-case-b-frequency", "1e308", "--oracle-compare"],
         ],
         ids=[
             "layers-7", "t-max-nan", "t-max-inf", "mean-photon-inf", "alpha-nan", "freq-inf",
-            "A-field-dim-200", "D-field-dim-200", "A-phase-overflow", "B-phase-overflow",
+            "A-field-dim-300", "D-field-dim-200", "A-phase-overflow", "B-phase-overflow",
         ],
     )
     def test_out_of_range_input_is_a_config_error(self, args, tmp_path, monkeypatch, capsys):

@@ -3,7 +3,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from jcnc.cli import point_bytes
+from jcnc.cli import guard_bytes, point_bytes
 from jcnc.engine import ScenarioCase, evolve, initial_state, reduced_states
 from jcnc.hilbert import (
     DensityOperator,
@@ -314,12 +314,18 @@ class TestPathSelection:
 
     @pytest.mark.parametrize("d, diagonal", [(2, False), (5, False), (2, True), (30, True)])
     def test_cached_tables_are_read_only_and_bounded(self, d, diagonal):
-        # point_bytes bounds each table, so MAX_ARRAY_BYTES bounds it too
-        tables = [splitting_probabilities(d), *nonclassicality._kraus_table(d)]
-        tables += [t for block in nonclassicality._transpose_blocks(d, diagonal) for t in block]
+        # the figure of the path that builds a table bounds it, and
+        # guard_bytes, which MAX_ARRAY_BYTES bounds, bounds the
+        # photon-number path's blocks together
+        blocks = [t for block in nonclassicality._transpose_blocks(d, diagonal) for t in block]
+        tables = [splitting_probabilities(d), *blocks]
+        if diagonal:
+            assert sum(t.nbytes for t in blocks) <= guard_bytes(d, True)
+        else:
+            tables += nonclassicality._kraus_table(d)
         for table in tables:
             assert not table.flags.writeable
-            assert table.nbytes <= point_bytes(d)
+            assert table.nbytes <= point_bytes(d, diagonal)
 
 
 class TestAtomFieldDuality:

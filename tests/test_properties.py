@@ -1,11 +1,13 @@
 """Invariants of the kernel checked on random inputs drawn by hypothesis."""
 
+import warnings
+
 import numpy as np
 from hypothesis import assume, given, settings
 from hypothesis.extra import numpy as hnp
 from hypothesis import strategies as st
 
-from jcnc.engine import evolve, jc_layout
+from jcnc.engine import ScenarioCase, evolve, initial_state, jc_layout, reduced_states
 from jcnc.hilbert import (
     DensityOperator,
     ModeLayout,
@@ -256,6 +258,47 @@ def test_evolve_group_property(m, t1, t2):
     stepped = evolve(evolve(rho0, t1), t2)
     direct = evolve(rho0, t1 + t2)
     assert np.max(np.abs(stepped.matrix - direct.matrix)) < 1e-12
+
+
+FOCK_DIAGONAL_CASES = st.one_of(
+    st.just(ScenarioCase("A")),
+    st.just(ScenarioCase("B")),
+    st.floats(min_value=1e-3, max_value=10.0).map(lambda n: ScenarioCase("C", mean_photon=n)),
+)
+COHERENT_CASES = st.one_of(st.floats(-2.0, -0.05), st.floats(0.05, 2.0)).map(
+    lambda alpha: ScenarioCase("D", alpha=alpha)
+)
+
+
+def sector_coherence(rho):
+    """The entries of a field (x) atom stack between different excitation
+    numbers n + s, for field photons n and atom level s."""
+    i = np.arange(rho.layout.dim)
+    excitations = i // 2 + i % 2
+    return rho.matrix[..., excitations[:, None] != excitations]
+
+
+@PROPERTY
+@given(st.one_of(FOCK_DIAGONAL_CASES, COHERENT_CASES), st.data())
+def test_only_a_coherent_field_leaves_the_photon_number_path(scenario, data):
+    # the premise of the per-path chunk size and guard: excitation
+    # conservation keeps a state with no coherence between excitation
+    # sectors so, and then neither reduced state has Fock coherence; a
+    # coherent field carries both at every time, so it keeps the dense size
+    d = data.draw(st.integers(min_value=scenario.min_field_dim, max_value=16))
+    times = np.array(data.draw(st.lists(TIME, min_size=1, max_size=4)))
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")   # a coherent field's truncation loss
+        rho0 = initial_state(scenario, d)
+    rho = evolve(rho0, times)
+    rho_f, rho_a = reduced_states(rho)
+    if scenario.fock_diagonal:
+        assert np.all(sector_coherence(rho) == 0.0)
+        assert np.all(l1_coherence(rho_f) == 0.0)
+        assert np.all(l1_coherence(rho_a) == 0.0)
+    else:
+        assert np.all(np.any(sector_coherence(rho) != 0.0, axis=-1))
+        assert np.all(l1_coherence(rho_f) > 0.0)
 
 
 @PROPERTY
